@@ -1,6 +1,7 @@
 #include "src/trace/forensics.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/net/wire.h"
 
@@ -8,23 +9,32 @@ namespace p2 {
 
 namespace {
 
-// FNV-1a, for the per-segment (name, key-prefix) posting sets. Only compared
-// within one process, so the exact function just needs to be deterministic.
-uint64_t Fnv64(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
+// FNV-1a (32-bit), for the seal-time head-key index. Hits are confirmed with
+// MatchKey, so a collision costs one decode, never a wrong answer.
+uint32_t KeyHash(const std::string& s) {
+  uint32_t h = 2166136261u;
   for (unsigned char c : s) {
     h ^= c;
-    h *= 1099511628211ull;
+    h *= 16777619u;
   }
   return h;
 }
 
-// "name/firstarg" — the key-prefix posting (field 0 is the location specifier).
+// "name/firstarg" — the key-prefix form (field 0 is the location specifier).
 std::string KeyPrefix(const Tuple& t) {
   if (t.arity() < 2) {
     return t.name();
   }
   return t.name() + "/" + t.field(1).ToString();
+}
+
+TupleRef Decode(const std::string& bytes) {
+  size_t pos = 0;
+  TupleRef out;
+  if (!DecodeTuple(bytes, &pos, &out)) {
+    return nullptr;
+  }
+  return out;
 }
 
 constexpr size_t kExecRecordCost = 48;    // struct + vector slack, approximate
@@ -49,13 +59,44 @@ ForensicsStore::Segment& ForensicsStore::Active(double now) {
   Segment* seg = &segments_.back();
   bool span_full = seg->has_records && now - seg->min_time >= options_.segment_span;
   if (seg->execs.size() >= options_.segment_records || span_full) {
-    seg->sealed = true;
+    Seal(*seg);
     segments_.emplace_back();
-    seg = &segments_.back();
     Compact(now);  // sealing is the natural budget-enforcement point
     seg = &segments_.back();
   }
   return *seg;
+}
+
+void ForensicsStore::Seal(Segment& seg) {
+  seg.sealed = true;
+  SegmentIndex& ix = seg.index;
+  const uint32_t n = static_cast<uint32_t>(seg.execs.size());
+  ix.by_effect.resize(n);
+  std::iota(ix.by_effect.begin(), ix.by_effect.end(), 0u);
+  std::sort(ix.by_effect.begin(), ix.by_effect.end(), [&seg](uint32_t a, uint32_t b) {
+    uint64_t ea = seg.execs[a].effect_id;
+    uint64_t eb = seg.execs[b].effect_id;
+    return ea != eb ? ea < eb : a < b;
+  });
+  for (uint32_t pos = 0; pos < n; ++pos) {
+    const ExecRecord& rec = seg.execs[pos];
+    if (!rec.is_event) {
+      continue;
+    }
+    auto it = seg.payloads.find(rec.effect_id);
+    TupleRef effect = it == seg.payloads.end() ? nullptr : Decode(it->second.bytes);
+    if (effect == nullptr) {
+      ix.unkeyed.push_back(pos);
+      continue;
+    }
+    uint32_t name = KeyHash(effect->name());
+    uint32_t prefix = KeyHash(KeyPrefix(*effect));
+    ix.by_head_key.emplace_back(name, pos);
+    if (prefix != name) {
+      ix.by_head_key.emplace_back(prefix, pos);
+    }
+  }
+  std::sort(ix.by_head_key.begin(), ix.by_head_key.end());
 }
 
 void ForensicsStore::Touch(Segment& seg, double t) {
@@ -102,8 +143,6 @@ void ForensicsStore::AddPayload(Segment& seg, uint64_t id, const TupleRef& tuple
   p.src_tuple_id = src_tuple_id;
   p.time = t;
   seg.bytes += p.bytes.size() + p.src_addr.size() + kPayloadFixedCost;
-  seg.postings.insert(Fnv64(tuple->name()));
-  seg.postings.insert(Fnv64(KeyPrefix(*tuple)));
   seg.payloads.emplace(id, std::move(p));
   Touch(seg, t);
 }
@@ -191,56 +230,88 @@ ForensicsStats ForensicsStore::Stats() const {
   return s;
 }
 
-ExecEdge ForensicsStore::TriggerEdge(uint64_t effect_id, double max_out_time) const {
-  ExecEdge edge;
-  // Newest first; within a segment records are appended in time order, so the
-  // first reverse-order match is the latest retained qualifying edge.
-  for (auto seg = segments_.rbegin(); seg != segments_.rend(); ++seg) {
-    for (auto rec = seg->execs.rbegin(); rec != seg->execs.rend(); ++rec) {
-      if (rec->effect_id == effect_id && rec->is_event &&
-          rec->out_time <= max_out_time) {
-        edge.rule = rule_names_[rec->rule];
-        edge.cause_id = rec->cause_id;
-        edge.effect_id = rec->effect_id;
-        edge.cause_time = rec->cause_time;
-        edge.out_time = rec->out_time;
-        edge.is_event = true;
-        edge.found = true;
-        return edge;
+template <typename Fn>
+void ForensicsStore::ForEachWithEffect(const Segment& seg, uint64_t effect_id, Fn fn) {
+  if (!seg.sealed) {
+    for (const ExecRecord& rec : seg.execs) {
+      if (rec.effect_id == effect_id) {
+        fn(rec);
       }
     }
+    return;
   }
-  return edge;
+  const std::vector<uint32_t>& ix = seg.index.by_effect;
+  auto it = std::lower_bound(ix.begin(), ix.end(), effect_id,
+                             [&seg](uint32_t pos, uint64_t id) {
+                               return seg.execs[pos].effect_id < id;
+                             });
+  for (; it != ix.end() && seg.execs[*it].effect_id == effect_id; ++it) {
+    fn(seg.execs[*it]);
+  }
+}
+
+bool ForensicsStore::Newer(const ExecRecord& a, const ExecRecord& b) const {
+  if (a.out_time != b.out_time) {
+    return a.out_time > b.out_time;
+  }
+  if (a.rule != b.rule) {
+    return rule_names_[a.rule] > rule_names_[b.rule];
+  }
+  if (a.cause_id != b.cause_id) {
+    return a.cause_id > b.cause_id;
+  }
+  return a.cause_time > b.cause_time;
+}
+
+ExecEdge ForensicsStore::ToEdge(const ExecRecord& rec) const {
+  ExecEdge e;
+  e.rule = rule_names_[rec.rule];
+  e.cause_id = rec.cause_id;
+  e.effect_id = rec.effect_id;
+  e.cause_time = rec.cause_time;
+  e.out_time = rec.out_time;
+  e.is_event = rec.is_event;
+  e.found = true;
+  return e;
+}
+
+ExecEdge ForensicsStore::TriggerEdge(uint64_t effect_id, double max_out_time) const {
+  const ExecRecord* best = nullptr;
+  // Newest segment first, so the time ranges of older ones usually rule them out;
+  // a segment whose newest record ties the best still counts (ties across a seal).
+  for (auto seg = segments_.rbegin(); seg != segments_.rend(); ++seg) {
+    if (!seg->has_records || seg->min_time > max_out_time ||
+        (best != nullptr && seg->max_time < best->out_time)) {
+      continue;
+    }
+    ForEachWithEffect(*seg, effect_id, [&](const ExecRecord& rec) {
+      if (rec.is_event && rec.out_time <= max_out_time &&
+          (best == nullptr || Newer(rec, *best))) {
+        best = &rec;
+      }
+    });
+  }
+  return best == nullptr ? ExecEdge() : ToEdge(*best);
 }
 
 std::vector<ExecEdge> ForensicsStore::Preconditions(uint64_t effect_id,
                                                     double out_time) const {
   std::vector<ExecEdge> out;
   for (const Segment& seg : segments_) {
-    for (const ExecRecord& rec : seg.execs) {
-      if (rec.effect_id != effect_id || rec.is_event || rec.out_time != out_time) {
-        continue;
+    if (!seg.has_records || out_time < seg.min_time || out_time > seg.max_time) {
+      continue;
+    }
+    ForEachWithEffect(seg, effect_id, [&](const ExecRecord& rec) {
+      if (rec.is_event || rec.out_time != out_time) {
+        return;
       }
-      bool dup = false;
       for (const ExecEdge& seen : out) {
         if (seen.cause_id == rec.cause_id) {
-          dup = true;
-          break;
+          return;
         }
       }
-      if (dup) {
-        continue;
-      }
-      ExecEdge e;
-      e.rule = rule_names_[rec.rule];
-      e.cause_id = rec.cause_id;
-      e.effect_id = rec.effect_id;
-      e.cause_time = rec.cause_time;
-      e.out_time = rec.out_time;
-      e.is_event = false;
-      e.found = true;
-      out.push_back(e);
-    }
+      out.push_back(ToEdge(rec));
+    });
   }
   std::sort(out.begin(), out.end(), [](const ExecEdge& a, const ExecEdge& b) {
     if (a.cause_time != b.cause_time) {
@@ -263,15 +334,7 @@ const ForensicsStore::Payload* ForensicsStore::FindPayload(uint64_t id) const {
 
 TupleRef ForensicsStore::TupleById(uint64_t id) const {
   const Payload* p = FindPayload(id);
-  if (p == nullptr) {
-    return nullptr;
-  }
-  size_t pos = 0;
-  TupleRef out;
-  if (!DecodeTuple(p->bytes, &pos, &out)) {
-    return nullptr;
-  }
-  return out;
+  return p == nullptr ? nullptr : Decode(p->bytes);
 }
 
 bool ForensicsStore::Provenance(uint64_t id, std::string* src_addr,
@@ -295,38 +358,8 @@ bool ForensicsStore::MatchKey(const std::string& key, const Tuple& tuple) {
   return key == KeyPrefix(tuple);
 }
 
-std::vector<std::pair<uint64_t, double>> ForensicsStore::FindHeads(
-    const std::string& key, double t1, double t2) const {
-  std::vector<std::pair<uint64_t, double>> heads;
-  uint64_t posting = key == "*" ? 0 : Fnv64(key);
-  for (const Segment& seg : segments_) {
-    if (!seg.has_records || seg.max_time < t1 || seg.min_time > t2) {
-      continue;
-    }
-    if (key != "*" && seg.postings.find(posting) == seg.postings.end()) {
-      continue;
-    }
-    for (const ExecRecord& rec : seg.execs) {
-      if (!rec.is_event || rec.out_time < t1 || rec.out_time > t2) {
-        continue;
-      }
-      TupleRef effect;
-      auto it = seg.payloads.find(rec.effect_id);
-      if (it != seg.payloads.end()) {
-        size_t pos = 0;
-        DecodeTuple(it->second.bytes, &pos, &effect);
-      } else {
-        effect = TupleById(rec.effect_id);
-      }
-      if (effect == nullptr || !MatchKey(key, *effect)) {
-        continue;
-      }
-      heads.emplace_back(rec.effect_id, rec.out_time);
-    }
-  }
-  // Re-derivations repeat an effect id; keep the latest and return a canonical
-  // (time, id) order so queries are independent of segment layout.
-  std::sort(heads.begin(), heads.end(),
+void ForensicsStore::CanonicalizeHeads(std::vector<std::pair<uint64_t, double>>* heads) {
+  std::sort(heads->begin(), heads->end(),
             [](const std::pair<uint64_t, double>& a,
                const std::pair<uint64_t, double>& b) {
               if (a.first != b.first) {
@@ -334,13 +367,13 @@ std::vector<std::pair<uint64_t, double>> ForensicsStore::FindHeads(
               }
               return a.second > b.second;
             });
-  heads.erase(std::unique(heads.begin(), heads.end(),
-                          [](const std::pair<uint64_t, double>& a,
-                             const std::pair<uint64_t, double>& b) {
-                            return a.first == b.first;
-                          }),
-              heads.end());
-  std::sort(heads.begin(), heads.end(),
+  heads->erase(std::unique(heads->begin(), heads->end(),
+                           [](const std::pair<uint64_t, double>& a,
+                              const std::pair<uint64_t, double>& b) {
+                             return a.first == b.first;
+                           }),
+               heads->end());
+  std::sort(heads->begin(), heads->end(),
             [](const std::pair<uint64_t, double>& a,
                const std::pair<uint64_t, double>& b) {
               if (a.second != b.second) {
@@ -348,6 +381,47 @@ std::vector<std::pair<uint64_t, double>> ForensicsStore::FindHeads(
               }
               return a.first < b.first;
             });
+}
+
+std::vector<std::pair<uint64_t, double>> ForensicsStore::FindHeads(
+    const std::string& key, double t1, double t2) const {
+  std::vector<std::pair<uint64_t, double>> heads;
+  auto add_if_in_window = [&](const ExecRecord& rec) {
+    if (rec.is_event && rec.out_time >= t1 && rec.out_time <= t2) {
+      heads.emplace_back(rec.effect_id, rec.out_time);
+    }
+  };
+  const uint32_t hash = KeyHash(key);
+  for (const Segment& seg : segments_) {
+    if (!seg.has_records || seg.max_time < t1 || seg.min_time > t2) {
+      continue;
+    }
+    if (!seg.sealed || key == "*") {
+      for (const ExecRecord& rec : seg.execs) {
+        add_if_in_window(rec);
+      }
+      continue;
+    }
+    const SegmentIndex& ix = seg.index;
+    auto it = std::lower_bound(ix.by_head_key.begin(), ix.by_head_key.end(),
+                               std::make_pair(hash, uint32_t{0}));
+    for (; it != ix.by_head_key.end() && it->first == hash; ++it) {
+      add_if_in_window(seg.execs[it->second]);
+    }
+    for (uint32_t pos : ix.unkeyed) {
+      add_if_in_window(seg.execs[pos]);
+    }
+  }
+  // Tuple ids are never reused (src/trace/tuple_store.h), so every copy of an id's
+  // payload holds the same tuple: one check per distinct candidate confirms its key
+  // and that its payload is still retained.
+  CanonicalizeHeads(&heads);
+  heads.erase(std::remove_if(heads.begin(), heads.end(),
+                             [&](const std::pair<uint64_t, double>& head) {
+                               TupleRef effect = TupleById(head.first);
+                               return effect == nullptr || !MatchKey(key, *effect);
+                             }),
+              heads.end());
   return heads;
 }
 

@@ -16,9 +16,15 @@
 // segment never breaks chains in the segments that remain. Cross-segment payload
 // duplication is the price of whole-segment drop, and is counted in the budget.
 //
-// An index from (tuple name, key prefix, time) to segments — one posting set of
-// name / "name/firstarg" hashes per segment plus the segment's time range — lets
-// time-travel queries skip segments that cannot contain a matching head.
+// Each segment keeps its time range, so queries skip segments outside a window.
+// When a segment seals it also builds a lookup index, dropped with the segment and
+// never rebuilt: effect id -> record positions (the backward step's TriggerEdge and
+// Preconditions), and head key -> positions of is_event records (FindHeads), keyed
+// by hashes of the effect's name and of its "name/firstarg", each hit confirmed
+// with MatchKey. The index is derived data: 4 bytes per record plus 8 per head key
+// (two per event record), held outside `budget_bytes`. The active segment, at most
+// `segment_records` records, has no index and is scanned; so is a segment under key
+// "*", whose heads are all its event records in the window.
 
 #ifndef SRC_TRACE_FORENSICS_H_
 #define SRC_TRACE_FORENSICS_H_
@@ -27,7 +33,6 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -103,8 +108,10 @@ class ForensicsStore {
 
   // --- time-travel queries (see src/trace/replay.h for the chain walk) ---
 
-  // The latest retained trigger edge (is_event) for `effect_id` with
-  // out_time <= max_out_time. Returns found=false when none is retained.
+  // The retained trigger edge (is_event) for `effect_id` with out_time <=
+  // max_out_time that TraceSource::TriggerEdge's rule picks (src/trace/replay.h);
+  // edges equal on that rule differ at most in cause_time, and the greater wins.
+  // Returns found=false when none is retained.
   ExecEdge TriggerEdge(uint64_t effect_id, double max_out_time) const;
 
   // Precondition rows (is_event=false) sharing `effect_id` whose out_time matches
@@ -132,6 +139,10 @@ class ForensicsStore {
   // Key predicate shared with the live walk (src/trace/replay.cc).
   static bool MatchKey(const std::string& key, const Tuple& tuple);
 
+  // Head order shared with the live walk: re-derivations of one tuple collapse to
+  // the latest, then (out_time, id) ascending, independent of scan order.
+  static void CanonicalizeHeads(std::vector<std::pair<uint64_t, double>>* heads);
+
  private:
   struct ExecRecord {
     uint32_t rule = 0;  // index into rule_names_
@@ -149,6 +160,19 @@ class ForensicsStore {
     double time = 0;  // first recorded into this segment
   };
 
+  // Built by Seal; positions index Segment::execs.
+  struct SegmentIndex {
+    // Every record position, sorted by (effect_id, position).
+    std::vector<uint32_t> by_effect;
+    // (key hash, position) for each is_event record whose effect payload the
+    // segment holds, under the effect's name and under its "name/firstarg"; sorted.
+    std::vector<std::pair<uint32_t, uint32_t>> by_head_key;
+    // is_event records whose effect payload the segment lacks (ingested with a null
+    // effect): no key to file them under, so every head lookup takes them as
+    // candidates and the payload's newest retained copy decides.
+    std::vector<uint32_t> unkeyed;
+  };
+
   struct Segment {
     double min_time = 0;
     double max_time = 0;
@@ -157,17 +181,23 @@ class ForensicsStore {
     size_t bytes = 0;  // approximate footprint, counted into the budget
     std::vector<ExecRecord> execs;
     std::unordered_map<uint64_t, Payload> payloads;
-    // (name, key-prefix) posting set: hashes of "name" and "name/firstarg" for
-    // every payload in the segment.
-    std::unordered_set<uint64_t> postings;
+    SegmentIndex index;  // empty until sealed
   };
 
   Segment& Active(double now);
+  static void Seal(Segment& seg);
   void Touch(Segment& seg, double t);
   void AddPayload(Segment& seg, uint64_t id, const TupleRef& tuple,
                   const std::string& src_addr, uint64_t src_tuple_id, double t);
   uint32_t InternRule(const std::string& rule_id);
   const Payload* FindPayload(uint64_t id) const;
+  // Calls fn(record) for each record of `seg` whose effect is `effect_id`, in
+  // append order.
+  template <typename Fn>
+  static void ForEachWithEffect(const Segment& seg, uint64_t effect_id, Fn fn);
+  // True when trigger edge `a` wins over `b` (the order TriggerEdge describes).
+  bool Newer(const ExecRecord& a, const ExecRecord& b) const;
+  ExecEdge ToEdge(const ExecRecord& rec) const;
 
   std::string node_addr_;
   ForensicsOptions options_;

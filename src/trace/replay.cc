@@ -10,32 +10,6 @@ namespace p2 {
 
 namespace {
 
-// Canonical (out_time, id) head order with re-derivations collapsed to the latest.
-void CanonicalizeHeads(std::vector<std::pair<uint64_t, double>>* heads) {
-  std::sort(heads->begin(), heads->end(),
-            [](const std::pair<uint64_t, double>& a,
-               const std::pair<uint64_t, double>& b) {
-              if (a.first != b.first) {
-                return a.first < b.first;
-              }
-              return a.second > b.second;
-            });
-  heads->erase(std::unique(heads->begin(), heads->end(),
-                           [](const std::pair<uint64_t, double>& a,
-                              const std::pair<uint64_t, double>& b) {
-                             return a.first == b.first;
-                           }),
-               heads->end());
-  std::sort(heads->begin(), heads->end(),
-            [](const std::pair<uint64_t, double>& a,
-               const std::pair<uint64_t, double>& b) {
-              if (a.second != b.second) {
-                return a.second < b.second;
-              }
-              return a.first < b.first;
-            });
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -81,7 +55,7 @@ ExecEdge LiveTraceSource::TriggerEdge(uint64_t effect_id, double max_out_time) c
     if (out_time > max_out_time) {
       continue;
     }
-    // Latest qualifying edge; ties broken on (rule, cause id) for determinism.
+    // The rule stated on TraceSource::TriggerEdge.
     if (edge.found && (out_time < edge.out_time ||
                        (out_time == edge.out_time &&
                         (t->field(1).AsString() < edge.rule ||
@@ -177,7 +151,7 @@ std::vector<std::pair<uint64_t, double>> LiveTraceSource::FindHeads(
     }
     heads.emplace_back(effect_id, out_time);
   }
-  CanonicalizeHeads(&heads);
+  ForensicsStore::CanonicalizeHeads(&heads);
   return heads;
 }
 

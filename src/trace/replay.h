@@ -66,7 +66,9 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
   virtual const std::string& addr() const = 0;
-  // Latest trigger edge for `effect_id` with out_time <= max_out_time.
+  // The trigger edge for `effect_id` with the latest out_time <= max_out_time;
+  // among edges with that out_time, the greatest (rule, cause id) wins, so every
+  // source picks the same edge whatever order it holds them in.
   virtual ExecEdge TriggerEdge(uint64_t effect_id, double max_out_time) const = 0;
   // Precondition rows sharing (effect_id, out_time), canonically ordered.
   virtual std::vector<ExecEdge> Preconditions(uint64_t effect_id,

@@ -2,16 +2,23 @@
 // (docs/OBSERVABILITY.md "Forensics & time-travel queries").
 //
 // Covers the ForensicsStore lifecycle (segment sealing, whole-segment budget
-// compaction, the contiguous-window contract), the time-travel query path on
-// p2::Fleet — including the headline capability: answering ReplayChains for a
-// window whose live ruleExec rows have already expired, cross-node hops included —
-// shard-count invariance of the JSONL chain export, retention-vs-live digest
-// agreement (the simfuzz retention-consistency oracle's real-fleet footing), and
-// the 64-node monitored-Chord budget acceptance run.
+// compaction, the contiguous-window contract), the seal-time index against a
+// brute-force reference, the trigger-edge tie-break shared with the live walk, the
+// time-travel query path on p2::Fleet — including the headline capability:
+// answering ReplayChains for a window whose live ruleExec rows have already
+// expired, cross-node hops included — shard-count invariance of the JSONL chain
+// export, retention-vs-live digest agreement (the simfuzz retention-consistency
+// oracle's real-fleet footing), and the 64-node monitored-Chord budget acceptance
+// run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/chord/chord.h"
@@ -124,6 +131,278 @@ TEST(ForensicsStoreTest, AgeBoundDropsOldSegmentsEvenUnderByteBudget) {
   ForensicsStats s = store.Stats();
   EXPECT_GT(s.dropped_segments, 0u);
   EXPECT_GE(s.oldest_time, 19.0 - 5.0 - 4.0);  // segment granularity slack
+}
+
+// Equal out_times break on the greatest (rule, cause id), the rule the live walk
+// follows (TraceSource::TriggerEdge), whatever the append order: within one
+// segment, and when the tied records straddle a seal.
+TEST(ForensicsStoreTest, TriggerEdgeTiesBreakOnRuleThenCauseAcrossSeals) {
+  for (size_t segment_records : {size_t{64}, size_t{2}}) {
+    SCOPED_TRACE(segment_records);
+    ForensicsOptions opts = SmallSegments();
+    opts.segment_records = segment_records;
+    ForensicsStore store("n1", opts);
+    // Effect 50 derived three times at t=3 — by rb from 7, ra from 9, rb from 5 —
+    // so the winner (rb, 7) is neither the first nor the last appended.
+    store.RecordExec("rb", 7, T("a", 7), 50, T("s", 1), 2.0, 3.0, true, 3.0);
+    store.RecordExec("r0", 8, T("a", 8), 51, T("s", 2), 2.0, 3.0, true, 3.0);
+    store.RecordExec("ra", 9, T("a", 9), 50, T("s", 1), 2.5, 3.0, true, 3.0);
+    store.RecordExec("rb", 5, T("a", 5), 50, T("s", 1), 1.0, 3.0, true, 3.0);
+    EXPECT_EQ(store.Stats().segments, segment_records == 2 ? 2u : 1u);
+    auto expect_winner = [&store] {
+      ExecEdge e = store.TriggerEdge(50, 3.0);
+      ASSERT_TRUE(e.found);
+      EXPECT_EQ(e.rule, "rb");
+      EXPECT_EQ(e.cause_id, 7u);
+      EXPECT_DOUBLE_EQ(e.cause_time, 2.0);
+    };
+    expect_winner();
+    // Seal the segment holding the later ties too: both sides answer from indexes.
+    store.RecordExec("r0", 10, T("a", 10), 52, T("s", 3), 3.0, 4.0, true, 4.0);
+    store.RecordExec("r0", 11, T("a", 11), 53, T("s", 4), 4.0, 4.0, true, 4.0);
+    expect_winner();
+  }
+}
+
+// --- the seal-time index against a brute-force reference -------------------------
+
+// The fixed tuple behind each id: three names, four first args, and every
+// seventh id of arity one (its "name/firstarg" key is just the name).
+TupleRef PoolTuple(uint64_t id) {
+  std::string name = std::string(1, "pqs"[id % 3]);
+  if (id % 7 == 0) {
+    return Tuple::Make(name, {Value::Str("n1")});
+  }
+  return Tuple::Make(name, {Value::Str("n1"), Value::Int(static_cast<int64_t>(id % 4))});
+}
+
+bool RefMatch(const std::string& key, uint64_t id) {
+  TupleRef t = PoolTuple(id);
+  if (key == "*" || key == t->name()) {
+    return true;
+  }
+  return t->arity() > 1 && key == t->name() + "/" + std::to_string(id % 4);
+}
+
+// Everything appended to a store, tagged with the segment the store put it in.
+// Segments seal by record count only: a full segment seals at the next append of
+// either kind.
+struct RefLog {
+  struct Rec {
+    std::string rule;
+    uint64_t cause_id = 0;
+    uint64_t effect_id = 0;
+    double cause_time = 0;
+    double out_time = 0;
+    bool is_event = false;
+  };
+  size_t segment_records = 0;
+  std::vector<Rec> recs;
+  std::vector<int> rec_seg;
+  std::set<std::pair<int, uint64_t>> payloads;  // (segment, tuple id)
+  int seg = 0;
+  size_t in_seg = 0;
+
+  void NextAppend() {
+    if (in_seg >= segment_records) {
+      ++seg;
+      in_seg = 0;
+    }
+  }
+};
+
+// Linear scans over the retained suffix of the log, starting at record `first`.
+struct RefView {
+  const RefLog& log;
+  size_t first;
+
+  int FirstSegment() const {
+    return first < log.recs.size() ? log.rec_seg[first] : log.seg;
+  }
+  // Some retained segment holds the payload (the tuple behind an id never changes).
+  bool Resolved(uint64_t id) const {
+    auto it = log.payloads.lower_bound({FirstSegment(), 0});
+    for (; it != log.payloads.end(); ++it) {
+      if (it->second == id) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  ExecEdge TriggerEdge(uint64_t effect_id, double max_out_time) const {
+    const RefLog::Rec* best = nullptr;
+    for (size_t i = first; i < log.recs.size(); ++i) {
+      const RefLog::Rec& r = log.recs[i];
+      if (!r.is_event || r.effect_id != effect_id || r.out_time > max_out_time) {
+        continue;
+      }
+      if (best == nullptr || std::tie(r.out_time, r.rule, r.cause_id, r.cause_time) >
+                                 std::tie(best->out_time, best->rule, best->cause_id,
+                                          best->cause_time)) {
+        best = &r;
+      }
+    }
+    ExecEdge e;
+    if (best != nullptr) {
+      e = {best->rule, best->cause_id, best->effect_id, best->cause_time,
+           best->out_time, true, true};
+    }
+    return e;
+  }
+
+  std::vector<ExecEdge> Preconditions(uint64_t effect_id, double out_time) const {
+    std::vector<ExecEdge> out;
+    std::set<uint64_t> seen;
+    for (size_t i = first; i < log.recs.size(); ++i) {
+      const RefLog::Rec& r = log.recs[i];
+      if (!r.is_event && r.effect_id == effect_id && r.out_time == out_time &&
+          seen.insert(r.cause_id).second) {
+        out.push_back({r.rule, r.cause_id, r.effect_id, r.cause_time, r.out_time,
+                       false, true});
+      }
+    }
+    std::sort(out.begin(), out.end(), [](const ExecEdge& a, const ExecEdge& b) {
+      return std::tie(a.cause_time, a.cause_id) < std::tie(b.cause_time, b.cause_id);
+    });
+    return out;
+  }
+
+  std::vector<std::pair<uint64_t, double>> FindHeads(const std::string& key, double t1,
+                                                     double t2) const {
+    std::map<uint64_t, double> latest;
+    for (size_t i = first; i < log.recs.size(); ++i) {
+      const RefLog::Rec& r = log.recs[i];
+      if (r.is_event && r.out_time >= t1 && r.out_time <= t2 &&
+          Resolved(r.effect_id) && RefMatch(key, r.effect_id)) {
+        auto [it, fresh] = latest.emplace(r.effect_id, r.out_time);
+        if (!fresh) {
+          it->second = std::max(it->second, r.out_time);
+        }
+      }
+    }
+    std::vector<std::pair<uint64_t, double>> heads(latest.begin(), latest.end());
+    std::sort(heads.begin(), heads.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+    });
+    return heads;
+  }
+};
+
+std::string Show(const ExecEdge& e) {
+  if (!e.found) {
+    return "none";
+  }
+  return e.rule + " " + std::to_string(e.cause_id) + "->" + std::to_string(e.effect_id) +
+         " ct=" + std::to_string(e.cause_time) + " ot=" + std::to_string(e.out_time) +
+         (e.is_event ? " event" : " precond");
+}
+
+std::string Show(const std::vector<ExecEdge>& edges) {
+  std::string out;
+  for (const ExecEdge& e : edges) {
+    out += Show(e) + "; ";
+  }
+  return out;
+}
+
+// Every query the walk makes, over every effect id, retained out_time and key.
+void ExpectStoreMatchesReference(const ForensicsStore& store, const RefView& ref,
+                                 std::mt19937* rng) {
+  std::set<double> times = {-1.0, 1e9};
+  for (size_t i = ref.first; i < ref.log.recs.size(); ++i) {
+    times.insert(ref.log.recs[i].out_time);
+  }
+  for (uint64_t id = 0; id <= 12; ++id) {
+    for (double t : times) {
+      ASSERT_EQ(Show(store.TriggerEdge(id, t)), Show(ref.TriggerEdge(id, t)))
+          << "TriggerEdge(" << id << ", " << t << ")";
+      ASSERT_EQ(Show(store.Preconditions(id, t)), Show(ref.Preconditions(id, t)))
+          << "Preconditions(" << id << ", " << t << ")";
+    }
+  }
+  std::vector<double> ts(times.begin(), times.end());
+  std::vector<std::pair<double, double>> windows = {{-1.0, 1e9}};
+  for (int w = 0; w < 6; ++w) {
+    double a = ts[(*rng)() % ts.size()];
+    double b = ts[(*rng)() % ts.size()];
+    windows.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  for (const std::string key : {"*", "p", "q", "s", "p/1", "q/2", "s/3", "s/0", "p/9",
+                                "zz"}) {
+    for (const auto& [t1, t2] : windows) {
+      ASSERT_EQ(store.FindHeads(key, t1, t2), ref.FindHeads(key, t1, t2))
+          << "FindHeads(" << key << ", " << t1 << ", " << t2 << ")";
+    }
+  }
+}
+
+// Randomized stores with small segments, small id/rule/arg pools, many equal
+// out_times, mixed event and precondition records, and records ingested with a null
+// effect whose payload arrives later through RecordTuple. Every query is compared
+// with a linear scan of the log, before and after compaction drops whole segments.
+TEST(ForensicsStoreTest, IndexedQueriesMatchLinearScanReference) {
+  const char* const kRules[] = {"ra", "rb", "rc"};
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    ForensicsOptions opts = SmallSegments();
+    opts.segment_records = 1 + seed % 6;
+    opts.segment_span = 1e9;
+    opts.budget_bytes = 1u << 30;
+    ForensicsStore full("n1", opts);
+    opts.budget_bytes = 4096;
+    ForensicsStore compacted("n1", opts);
+    RefLog log;
+    log.segment_records = opts.segment_records;
+
+    double now = 0;
+    for (int op = 0; op < 300; ++op) {
+      if (rng() % 3 == 0) {
+        now += 0.5;
+      }
+      log.NextAppend();
+      uint64_t id = 1 + rng() % 12;
+      if (rng() % 6 == 0) {
+        full.RecordTuple(id, PoolTuple(id), "n1", id, now);
+        compacted.RecordTuple(id, PoolTuple(id), "n1", id, now);
+        log.payloads.insert({log.seg, id});
+        continue;
+      }
+      RefLog::Rec r;
+      r.rule = kRules[rng() % 3];
+      r.cause_id = 1 + rng() % 12;
+      r.effect_id = id;
+      r.out_time = rng() % 5 == 0 ? now - 0.5 : now;
+      r.cause_time = r.out_time - 0.25 * static_cast<double>(rng() % 3);
+      r.is_event = rng() % 5 < 3;
+      TupleRef effect = rng() % 8 == 0 ? nullptr : PoolTuple(id);
+      for (ForensicsStore* store : {&full, &compacted}) {
+        store->RecordExec(r.rule, r.cause_id, PoolTuple(r.cause_id), r.effect_id, effect,
+                          r.cause_time, r.out_time, r.is_event, now);
+      }
+      log.recs.push_back(r);
+      log.rec_seg.push_back(log.seg);
+      ++log.in_seg;
+      log.payloads.insert({log.seg, r.cause_id});
+      if (effect != nullptr) {
+        log.payloads.insert({log.seg, r.effect_id});
+      }
+    }
+
+    ASSERT_EQ(full.Stats().records, log.recs.size());
+    ASSERT_EQ(full.Stats().dropped_segments, 0u);
+    ExpectStoreMatchesReference(full, RefView{log, 0}, &rng);
+
+    compacted.Compact(now);
+    ForensicsStats s = compacted.Stats();
+    ASSERT_GT(s.dropped_segments, 0u);
+    size_t first = log.recs.size() - s.records;
+    // Whole oldest segments dropped: the retained records start a segment.
+    ASSERT_TRUE(first == 0 || first == log.recs.size() ||
+                log.rec_seg[first - 1] != log.rec_seg[first]);
+    ExpectStoreMatchesReference(compacted, RefView{log, first}, &rng);
+  }
 }
 
 // --- time-travel queries on a fleet ---------------------------------------------
