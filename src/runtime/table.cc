@@ -5,7 +5,11 @@
 
 namespace p2 {
 
-Table::Table(TableSpec spec) : spec_(std::move(spec)) {}
+Table::Table(TableSpec spec) : spec_(std::move(spec)) {
+  for (size_t pos : spec_.key_fields) {
+    key_span_ = std::max(key_span_, pos + 1);
+  }
+}
 
 bool Table::Key::operator==(const Key& other) const {
   if (hash != other.hash || vals.size() != other.vals.size()) {
@@ -65,14 +69,20 @@ size_t Table::EnsureIndex(std::vector<size_t> positions) {
   return secondary_.size() - 1;
 }
 
-void Table::SecondaryAdd(std::list<Row>::iterator it) {
+void Table::SecondaryAdd(RowIt it) {
   for (auto& index : secondary_) {
     index->map[HashAt(*it->tuple, index->positions)].emplace(it->seq, it);
     ++index->entries;
   }
+  if (IsShort(*it->tuple)) {
+    short_rows_.emplace(it->seq, it);
+  }
 }
 
-void Table::SecondaryRemove(std::list<Row>::iterator it) {
+void Table::SecondaryRemove(RowIt it) {
+  if (IsShort(*it->tuple)) {
+    short_rows_.erase(it->seq);
+  }
   for (auto& index : secondary_) {
     auto bucket = index->map.find(HashAt(*it->tuple, index->positions));
     if (bucket == index->map.end()) {
@@ -96,6 +106,74 @@ std::vector<Table::IndexStats> Table::IndexStatsSnapshot() const {
   return out;
 }
 
+void Table::HeapPush(RowIt it) {
+  heap_.push_back(it);
+  HeapFix(heap_.size() - 1);
+}
+
+void Table::HeapErase(size_t pos) {
+  heap_[pos]->heap_pos = kNoSlot;
+  RowIt last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    HeapPlace(pos, last);
+    HeapFix(pos);
+  }
+}
+
+void Table::HeapFix(size_t pos) {
+  RowIt it = heap_[pos];
+  while (pos > 0 && ExpiresBefore(*it, *heap_[(pos - 1) / 2])) {
+    HeapPlace(pos, heap_[(pos - 1) / 2]);
+    pos = (pos - 1) / 2;
+  }
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) {
+      break;
+    }
+    if (child + 1 < heap_.size() && ExpiresBefore(*heap_[child + 1], *heap_[child])) {
+      ++child;
+    }
+    if (!ExpiresBefore(*heap_[child], *it)) {
+      break;
+    }
+    HeapPlace(pos, heap_[child]);
+    pos = child;
+  }
+  HeapPlace(pos, it);
+}
+
+void Table::Remove(RowIt it, TableChange change) {
+  TupleRef tuple = it->tuple;
+  index_.erase(MakeKey(*tuple));
+  SecondaryRemove(it);
+  if (it->heap_pos != kNoSlot) {
+    HeapErase(it->heap_pos);
+  }
+  if (iter_depth_ > 0) {
+    // Only deletes get here mid-walk (e.g. tracer GC firing mid-join): erasing would
+    // invalidate the walk. Hide the row from every access and leave the corpse for
+    // EndIterMaintenance.
+    it->expires_at = -std::numeric_limits<double>::infinity();
+    corpses_.push_back(it);
+  } else {
+    rows_.erase(it);
+  }
+  switch (change) {
+    case TableChange::kExpire:
+      ++counters_.expires;
+      break;
+    case TableChange::kEvict:
+      ++counters_.evictions;
+      break;
+    default:
+      ++counters_.deletes;
+      break;
+  }
+  Notify(change, tuple);
+}
+
 void Table::Notify(TableChange change, const TupleRef& t) {
   for (const Listener& fn : listeners_) {
     fn(change, t);
@@ -113,6 +191,7 @@ InsertOutcome Table::Insert(const TupleRef& t, double now) {
     Row& row = *it->second;
     if (*row.tuple == *t) {
       row.expires_at = expires;  // identical: refresh lifetime only, no delta
+      HeapFix(row.heap_pos);
       ++counters_.refreshes;
       return InsertOutcome::kRefreshed;
     }
@@ -120,14 +199,16 @@ InsertOutcome Table::Insert(const TupleRef& t, double now) {
     row.tuple = t;
     row.expires_at = expires;
     SecondaryAdd(it->second);
+    HeapFix(row.heap_pos);
     ++counters_.inserts;
     Notify(TableChange::kInsert, t);
     return InsertOutcome::kReplaced;
   }
-  rows_.push_back(Row{t, expires, next_seq_++});
-  index_.emplace(std::move(key), std::prev(rows_.end()));
-  SecondaryAdd(std::prev(rows_.end()));
-  min_expiry_ = std::min(min_expiry_, expires);
+  rows_.push_back(Row{t, expires, next_seq_++, kNoSlot});
+  RowIt row = std::prev(rows_.end());
+  index_.emplace(std::move(key), row);
+  SecondaryAdd(row);
+  HeapPush(row);
   EvictOverflow();
   ++counters_.inserts;
   Notify(TableChange::kInsert, t);
@@ -145,80 +226,88 @@ void Table::EvictOverflow() {
     // table would do anyway. Refreshes push a row's expiry out, so soft state that
     // is still being maintained (e.g. a Chord node's own best successor) survives
     // while once-gossiped entries go first. Ties (notably infinite-lifetime tables)
-    // fall back to insertion order, since rows_ is insertion-ordered.
-    auto victim_it = rows_.begin();
-    for (auto it = std::next(rows_.begin()); it != rows_.end(); ++it) {
-      if (it->expires_at < victim_it->expires_at) {
-        victim_it = it;
-      }
-    }
-    Row victim = *victim_it;
-    index_.erase(MakeKey(*victim.tuple));
-    SecondaryRemove(victim_it);
-    rows_.erase(victim_it);
-    ++counters_.evictions;
-    Notify(TableChange::kEvict, victim.tuple);
+    // fall back to insertion order: the heap breaks them on seq.
+    Remove(heap_.front(), TableChange::kEvict);
   }
+}
+
+bool Table::BindsExactlyKey(const ValueList& pattern,
+                            const std::vector<bool>& bound) const {
+  if (spec_.key_fields.empty()) {
+    return false;
+  }
+  size_t n = std::min(pattern.size(), bound.size());
+  size_t bound_count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    bound_count += bound[i] ? 1 : 0;
+  }
+  for (size_t pos : spec_.key_fields) {
+    if (pos >= n || !bound[pos]) {
+      return false;
+    }
+  }
+  return bound_count == spec_.key_fields.size();
 }
 
 size_t Table::DeleteMatching(const ValueList& pattern,
                              const std::vector<bool>& bound, double now) {
   ExpireStale(now);
-  size_t deleted = 0;
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->expires_at <= now) {
-      ++it;  // expired or already deleted; purge was deferred by an in-flight walk
-      continue;
-    }
-    const Tuple& t = *it->tuple;
-    bool match = true;
+  auto matches = [&](const Tuple& t) {
     for (size_t i = 0; i < pattern.size() && i < t.arity(); ++i) {
       if (i < bound.size() && bound[i] && !(pattern[i] == t.field(i))) {
-        match = false;
-        break;
+        return false;
       }
     }
-    if (match) {
-      TupleRef victim = it->tuple;
-      index_.erase(MakeKey(t));
-      SecondaryRemove(it);
-      if (iter_depth_ > 0) {
-        // A walk is in flight (e.g. tracer GC firing mid-join): erasing would
-        // invalidate it. Unlink from the indexes now, hide the row from every
-        // access, and leave the corpse for EndIterMaintenance.
-        it->dead = true;
-        it->expires_at = -std::numeric_limits<double>::infinity();
-        has_dead_ = true;
-        ++it;
-      } else {
-        it = rows_.erase(it);
+    return true;
+  };
+  // Rows whose lifetime has passed or that were already deleted are skipped: their
+  // purge was deferred by an in-flight walk.
+  std::vector<RowIt> victims;
+  if (BindsExactlyKey(pattern, bound)) {
+    Key key;
+    key.vals.reserve(spec_.key_fields.size());
+    for (size_t pos : spec_.key_fields) {
+      key.vals.push_back(pattern[pos]);
+    }
+    key.hash = HashValues(key.vals);
+    auto hit = index_.find(key);
+    if (hit != index_.end() && hit->second->expires_at > now &&
+        !IsShort(*hit->second->tuple)) {
+      victims.push_back(hit->second);
+    }
+    for (const auto& [seq, it] : short_rows_) {
+      if (it->expires_at > now && matches(*it->tuple)) {
+        victims.push_back(it);
       }
-      ++deleted;
-      ++counters_.deletes;
-      Notify(TableChange::kDelete, victim);
-    } else {
-      ++it;
+    }
+    std::sort(victims.begin(), victims.end(), InsertedBefore);
+  } else {
+    for (auto it = rows_.begin(); it != rows_.end(); ++it) {
+      if (it->expires_at > now && matches(*it->tuple)) {
+        victims.push_back(it);
+      }
     }
   }
-  return deleted;
+  for (RowIt it : victims) {
+    Remove(it, TableChange::kDelete);
+  }
+  return victims.size();
 }
 
 void Table::EndIterMaintenance() {
-  if (has_dead_) {
-    has_dead_ = false;
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      // Counters and listeners already fired at mark time; just drop the corpse.
-      it = it->dead ? rows_.erase(it) : std::next(it);
-    }
+  // Counters and listeners already fired when each corpse was deleted.
+  for (RowIt it : corpses_) {
+    rows_.erase(it);
   }
+  corpses_.clear();
   if (rows_.size() > spec_.max_size) {
     EvictOverflow();  // inserts mid-walk skipped the size bound
   }
 }
 
 size_t Table::ExpireStale(double now) {
-  if (now < min_expiry_) {
-    return 0;  // nothing can have expired yet
+  if (heap_.empty() || heap_.front()->expires_at > now) {
+    return 0;  // nothing has expired yet
   }
   if (iter_depth_ > 0) {
     // Rows are being walked (possibly by this very caller, re-entering through a
@@ -226,24 +315,17 @@ size_t Table::ExpireStale(double now) {
     // stale rows per row; the purge happens on the next non-nested access.
     return 0;
   }
-  size_t expired = 0;
-  double next_min = std::numeric_limits<double>::infinity();
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->expires_at <= now) {
-      TupleRef victim = it->tuple;
-      index_.erase(MakeKey(*victim));
-      SecondaryRemove(it);
-      it = rows_.erase(it);
-      ++expired;
-      ++counters_.expires;
-      Notify(TableChange::kExpire, victim);
-    } else {
-      next_min = std::min(next_min, it->expires_at);
-      ++it;
-    }
+  std::vector<RowIt> victims;
+  while (!heap_.empty() && heap_.front()->expires_at <= now) {
+    victims.push_back(heap_.front());
+    HeapErase(0);
   }
-  min_expiry_ = next_min;
-  return expired;
+  // The heap yields victims by expiry; listeners see them in insertion order.
+  std::sort(victims.begin(), victims.end(), InsertedBefore);
+  for (RowIt it : victims) {
+    Remove(it, TableChange::kExpire);
+  }
+  return victims.size();
 }
 
 TupleRef Table::FindByKey(const ValueList& key_values, double now) {
@@ -273,7 +355,8 @@ std::vector<TupleRef> Table::Scan(double now) {
 
 size_t Table::Size(double now) {
   ExpireStale(now);
-  if (iter_depth_ > 0 && (has_dead_ || now >= min_expiry_)) {
+  if (iter_depth_ > 0 &&
+      (!corpses_.empty() || (!heap_.empty() && heap_.front()->expires_at <= now))) {
     // The purge was deferred by an in-flight iteration: count live rows explicitly.
     size_t live = 0;
     for (const Row& row : rows_) {

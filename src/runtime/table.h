@@ -9,6 +9,10 @@
 // Listeners observe changes; the planner uses them to drive table-delta rule strands and
 // continuous aggregate re-evaluation, and the tracer uses them for ruleExec GC.
 //
+// Upkeep costs per change, not per row: an indexed min-heap orders rows by
+// (expires_at, seq), so expiry pops only the rows whose lifetime has passed and
+// eviction takes the heap top; a delete that binds exactly the primary key probes it.
+//
 // Secondary indexes (EnsureIndex / ForEachMatch): hash indexes over arbitrary field
 // subsets, requested by the planner for join probes that bind only part of (or none
 // of) the primary key. They are maintained inline across every mutation — insert,
@@ -22,6 +26,7 @@
 #include <functional>
 #include <limits>
 #include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -70,8 +75,10 @@ enum class TableChange {
 
 class Table {
  public:
-  // A listener is called synchronously after each change; it must not mutate tables
-  // directly (enqueue follow-up work instead).
+  // A listener is called synchronously after each change. It must never mutate the
+  // table that notified it (ExpireStale notifies after unhooking the whole expired
+  // batch from the heap); mutating another table is allowed, as the tracer's GC
+  // listener does when a ruleExec row drops the last reference to a tupleTable row.
   using Listener = std::function<void(TableChange, const TupleRef&)>;
 
   explicit Table(TableSpec spec);
@@ -82,13 +89,15 @@ class Table {
   // Inserts `t` at time `now`. Expired rows are purged first.
   InsertOutcome Insert(const TupleRef& t, double now);
 
-  // Deletes all rows matching `pattern`: a row matches when every non-null pattern
+  // Deletes all rows matching `pattern`: a row matches when every bound pattern
   // position equals the corresponding field. Returns the number of rows deleted.
-  // Positions beyond the row's arity are ignored.
+  // Positions beyond the row's arity are ignored. When the bound positions are exactly
+  // the primary-key fields the delete probes the key instead of walking the rows.
   size_t DeleteMatching(const ValueList& pattern,
                         const std::vector<bool>& bound, double now);
 
-  // Purges rows whose lifetime has passed; fires kExpire for each. Returns count.
+  // Purges rows whose lifetime has passed; fires kExpire for each, in insertion order.
+  // Returns count.
   size_t ExpireStale(double now);
 
   // Returns the current rows (after purging expired ones), in insertion order.
@@ -157,7 +166,7 @@ class Table {
       // this table, rehashing the index maps under a live bucket iterator. Row
       // erasure is deferred while the IterGuard is held, so the copied row
       // iterators stay valid throughout. Sorting by seq restores insertion order.
-      std::vector<std::pair<uint64_t, std::list<Row>::iterator>> matches(
+      std::vector<std::pair<uint64_t, RowIt>> matches(
           bucket->second.begin(), bucket->second.end());
       std::sort(matches.begin(), matches.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -205,9 +214,11 @@ class Table {
   struct Row {
     TupleRef tuple;
     double expires_at;
-    uint64_t seq;       // monotonically increasing insert order
-    bool dead = false;  // deleted mid-iteration; unlinked from indexes, purge pending
+    uint64_t seq;     // monotonically increasing insert order
+    size_t heap_pos;  // slot in heap_; kNoSlot once unlinked (expired, deleted, evicted)
   };
+  using RowIt = std::list<Row>::iterator;
+  static constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
 
   struct Key {
     ValueList vals;
@@ -226,9 +237,7 @@ class Table {
   // low-selectivity index would otherwise turn bulk expiry quadratic).
   struct SecondaryIndex {
     std::vector<size_t> positions;
-    std::unordered_map<size_t, std::unordered_map<uint64_t, std::list<Row>::iterator>,
-                       IdentityHash>
-        map;
+    std::unordered_map<size_t, std::unordered_map<uint64_t, RowIt>, IdentityHash> map;
     uint64_t probes = 0;
     uint64_t rows_yielded = 0;
     size_t entries = 0;
@@ -252,25 +261,53 @@ class Table {
   // so cross-kind numeric equality (Int(7) == Id(7)) probes consistently.
   static size_t HashValues(const ValueList& vals);
   size_t HashAt(const Tuple& t, const std::vector<size_t>& positions) const;
-  void SecondaryAdd(std::list<Row>::iterator it);
-  void SecondaryRemove(std::list<Row>::iterator it);
+  // File a row under (or remove it from) every lookup derived from its contents
+  // other than the primary key: the secondary indexes and short_rows_.
+  void SecondaryAdd(RowIt it);
+  void SecondaryRemove(RowIt it);
+  // A short row lacks some primary-key field; a keyed delete still matches it on the
+  // fields it has, so short rows are kept apart from the key probe.
+  bool IsShort(const Tuple& t) const { return t.arity() < key_span_; }
+  bool BindsExactlyKey(const ValueList& pattern, const std::vector<bool>& bound) const;
+  // Unlinks a row from every lookup and the heap, erases it (or leaves a corpse while
+  // a walk is in flight), counts the change and notifies listeners.
+  void Remove(RowIt it, TableChange change);
   void Notify(TableChange change, const TupleRef& t);
   void EvictOverflow();
   void EndIterMaintenance();
 
+  static bool InsertedBefore(RowIt a, RowIt b) { return a->seq < b->seq; }
+  // Indexed binary min-heap over heap_, ordered by (expires_at, seq).
+  static bool ExpiresBefore(const Row& a, const Row& b) {
+    return a.expires_at < b.expires_at ||
+           (a.expires_at == b.expires_at && a.seq < b.seq);
+  }
+  void HeapPlace(size_t pos, RowIt it) {
+    heap_[pos] = it;
+    it->heap_pos = pos;
+  }
+  void HeapPush(RowIt it);
+  void HeapErase(size_t pos);
+  void HeapFix(size_t pos);  // re-sifts a row whose expires_at changed
+
   TableSpec spec_;
   TableCounters counters_;
   std::list<Row> rows_;  // insertion order
-  std::unordered_map<Key, std::list<Row>::iterator, KeyHash> index_;
+  std::unordered_map<Key, RowIt, KeyHash> index_;
   std::vector<std::unique_ptr<SecondaryIndex>> secondary_;
   std::vector<Listener> listeners_;
+  // Every row of rows_ that is not a corpse, earliest expiry on top; ties break on
+  // seq, i.e. insertion order. Lets ExpireStale — called on every insert and scan —
+  // return in O(1) when nothing has expired and pop only the rows that have.
+  std::vector<RowIt> heap_;
+  // Rows deleted mid-walk: unlinked everywhere and hidden, erased when the outermost
+  // walk ends.
+  std::vector<RowIt> corpses_;
+  // Short rows by seq (see IsShort); empty unless rows lack primary-key fields.
+  std::map<uint64_t, RowIt> short_rows_;
+  size_t key_span_ = 0;  // 1 + the largest primary-key position; 0 for a whole-tuple key
   uint64_t next_seq_ = 0;
-  int iter_depth_ = 0;     // >0 while ForEachLive/ForEachMatch walk rows
-  bool has_dead_ = false;  // dead corpses awaiting EndIterMaintenance
-  // Earliest possible expiry across live rows (a lower bound: refreshes may raise a
-  // row's true expiry without updating this). Lets ExpireStale — called on every
-  // insert/scan — return in O(1) when nothing can have expired yet.
-  double min_expiry_ = std::numeric_limits<double>::infinity();
+  int iter_depth_ = 0;  // >0 while ForEachLive/ForEachMatch walk rows
 };
 
 }  // namespace p2

@@ -45,64 +45,73 @@ std::string FormatTime(double t) {
 
 const std::string& LiveTraceSource::addr() const { return node_->addr(); }
 
+// The live tables are read in place, in insertion order (the order a Scan copy would
+// have), and never through EnsureIndex: a query must not leave an index behind on a
+// traced node.
+template <typename Fn>
+void LiveTraceSource::ForEachRuleExec(Fn&& fn) const {
+  Table* rule_exec = node_->catalog().Get("ruleExec");
+  if (rule_exec != nullptr) {
+    rule_exec->ForEachLive(node_->Now(), [&](const TupleRef& t) {
+      fn(*t);
+      return true;
+    });
+  }
+}
+
 ExecEdge LiveTraceSource::TriggerEdge(uint64_t effect_id, double max_out_time) const {
   ExecEdge edge;
-  for (const TupleRef& t : node_->TableContents("ruleExec")) {
-    if (t->field(3) != Value::Id(effect_id) || t->field(6) != Value::Bool(true)) {
-      continue;
+  ForEachRuleExec([&](const Tuple& t) {
+    if (t.field(3) != Value::Id(effect_id) || t.field(6) != Value::Bool(true)) {
+      return;
     }
-    double out_time = t->field(5).AsDouble();
+    double out_time = t.field(5).AsDouble();
     if (out_time > max_out_time) {
-      continue;
+      return;
     }
     // The rule stated on TraceSource::TriggerEdge.
     if (edge.found && (out_time < edge.out_time ||
                        (out_time == edge.out_time &&
-                        (t->field(1).AsString() < edge.rule ||
-                         (t->field(1).AsString() == edge.rule &&
-                          t->field(2).AsId() < edge.cause_id))))) {
-      continue;
+                        (t.field(1).AsString() < edge.rule ||
+                         (t.field(1).AsString() == edge.rule &&
+                          t.field(2).AsId() < edge.cause_id))))) {
+      return;
     }
-    edge.rule = t->field(1).AsString();
-    edge.cause_id = t->field(2).AsId();
+    edge.rule = t.field(1).AsString();
+    edge.cause_id = t.field(2).AsId();
     edge.effect_id = effect_id;
-    edge.cause_time = t->field(4).AsDouble();
+    edge.cause_time = t.field(4).AsDouble();
     edge.out_time = out_time;
     edge.is_event = true;
     edge.found = true;
-  }
+  });
   return edge;
 }
 
 std::vector<ExecEdge> LiveTraceSource::Preconditions(uint64_t effect_id,
                                                      double out_time) const {
   std::vector<ExecEdge> out;
-  for (const TupleRef& t : node_->TableContents("ruleExec")) {
-    if (t->field(3) != Value::Id(effect_id) || t->field(6) != Value::Bool(false) ||
-        t->field(5).AsDouble() != out_time) {
-      continue;
+  ForEachRuleExec([&](const Tuple& t) {
+    if (t.field(3) != Value::Id(effect_id) || t.field(6) != Value::Bool(false) ||
+        t.field(5).AsDouble() != out_time) {
+      return;
     }
-    uint64_t cause_id = t->field(2).AsId();
-    bool dup = false;
+    uint64_t cause_id = t.field(2).AsId();
     for (const ExecEdge& seen : out) {
       if (seen.cause_id == cause_id) {
-        dup = true;
-        break;
+        return;
       }
     }
-    if (dup) {
-      continue;
-    }
     ExecEdge e;
-    e.rule = t->field(1).AsString();
+    e.rule = t.field(1).AsString();
     e.cause_id = cause_id;
     e.effect_id = effect_id;
-    e.cause_time = t->field(4).AsDouble();
+    e.cause_time = t.field(4).AsDouble();
     e.out_time = out_time;
     e.is_event = false;
     e.found = true;
     out.push_back(e);
-  }
+  });
   std::sort(out.begin(), out.end(), [](const ExecEdge& a, const ExecEdge& b) {
     if (a.cause_time != b.cause_time) {
       return a.cause_time < b.cause_time;
@@ -118,39 +127,42 @@ TupleRef LiveTraceSource::TupleById(uint64_t id) const {
 
 bool LiveTraceSource::Provenance(uint64_t id, std::string* src_addr,
                                  uint64_t* src_tuple_id) const {
-  for (const TupleRef& t : node_->TableContents("tupleTable")) {
-    if (t->field(1) != Value::Id(id)) {
-      continue;
-    }
-    const std::string& src = t->field(2).AsString();
-    if (src.empty() || src == node_->addr()) {
-      return false;
-    }
-    *src_addr = src;
-    *src_tuple_id = t->field(3).AsId();
-    return true;
+  // tupleTable is keyed on its TupleID field, so one probe finds the row.
+  Table* tuple_table = node_->catalog().Get("tupleTable");
+  if (tuple_table == nullptr) {
+    return false;
   }
-  return false;
+  TupleRef t = tuple_table->FindByKey({Value::Id(id)}, node_->Now());
+  if (t == nullptr) {
+    return false;
+  }
+  const std::string& src = t->field(2).AsString();
+  if (src.empty() || src == node_->addr()) {
+    return false;
+  }
+  *src_addr = src;
+  *src_tuple_id = t->field(3).AsId();
+  return true;
 }
 
 std::vector<std::pair<uint64_t, double>> LiveTraceSource::FindHeads(
     const std::string& key, double t1, double t2) const {
   std::vector<std::pair<uint64_t, double>> heads;
-  for (const TupleRef& t : node_->TableContents("ruleExec")) {
-    if (t->field(6) != Value::Bool(true)) {
-      continue;
+  ForEachRuleExec([&](const Tuple& t) {
+    if (t.field(6) != Value::Bool(true)) {
+      return;
     }
-    double out_time = t->field(5).AsDouble();
+    double out_time = t.field(5).AsDouble();
     if (out_time < t1 || out_time > t2) {
-      continue;
+      return;
     }
-    uint64_t effect_id = t->field(3).AsId();
+    uint64_t effect_id = t.field(3).AsId();
     TupleRef effect = node_->store().Lookup(effect_id);
     if (effect == nullptr || !ForensicsStore::MatchKey(key, *effect)) {
-      continue;
+      return;
     }
     heads.emplace_back(effect_id, out_time);
-  }
+  });
   ForensicsStore::CanonicalizeHeads(&heads);
   return heads;
 }

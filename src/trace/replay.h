@@ -101,6 +101,10 @@ class LiveTraceSource : public TraceSource {
                                                      double t2) const override;
 
  private:
+  // Calls fn(const Tuple&) for every live ruleExec row, in insertion order.
+  template <typename Fn>
+  void ForEachRuleExec(Fn&& fn) const;
+
   Node* node_;
 };
 

@@ -149,16 +149,16 @@ TEST(TableTest, FindByKeyMatchesCrossKindNumerics) {
 }
 
 TEST(TableTest, ExpiryFastPathSkipsScans) {
-  // min-expiry fast path: rows with infinite lifetime never trigger expiry work, and
-  // a refresh that extends a row's life is honored even though the cached minimum is
-  // stale (one wasted scan, never a wrong expiry).
+  // Expiry fast path: ExpireStale only looks at the top of the expiry heap. Rows with
+  // infinite lifetime never expire, and a refresh re-sifts its row, so the expiry it
+  // replaced no longer counts.
   Table inf(Spec("t", std::numeric_limits<double>::infinity(), 10, {0, 1}));
   inf.Insert(Row("n", 1, 1), 0);
   EXPECT_EQ(inf.ExpireStale(1e12), 0u);
   Table ttl(Spec("t", 10, 10, {0, 1}));
-  ttl.Insert(Row("n", 1, 1), 0);   // expires at 10 (cached minimum)
-  ttl.Insert(Row("n", 1, 1), 8);   // refresh: true expiry now 18
-  EXPECT_EQ(ttl.ExpireStale(12), 0u);  // stale minimum passed, row must survive
+  ttl.Insert(Row("n", 1, 1), 0);   // expires at 10
+  ttl.Insert(Row("n", 1, 1), 8);   // refresh: expiry now 18
+  EXPECT_EQ(ttl.ExpireStale(12), 0u);  // the old expiry passed; the row must survive
   EXPECT_EQ(ttl.Size(12), 1u);
   EXPECT_EQ(ttl.Size(18), 0u);
 }
