@@ -4,8 +4,10 @@
 //  * Per-event aggregates — a rule with an event trigger aggregates over the match set
 //    produced by one triggering event (count over an empty set yields 0; min/max/avg
 //    over an empty set yield nothing).
-//  * Continuous aggregates — a rule whose body is entirely materialized is re-evaluated
-//    as a group-by whenever any body table changes; only changed groups re-emit.
+//  * Continuous aggregates — a rule whose body is entirely materialized re-aggregates
+//    when a body table changes: only the groups the change touched when the body reads
+//    one table through assignments and filters, else the whole group-by. Only changed
+//    groups re-emit (ContinuousAggRule in src/dataflow/strand.h).
 
 #ifndef SRC_DATAFLOW_AGGREGATES_H_
 #define SRC_DATAFLOW_AGGREGATES_H_
@@ -53,12 +55,15 @@ class GroupedAggregate {
 
   bool empty() const { return groups_.empty(); }
 
+  // The group identity: each value's kind and printed form, so Int(7) and Id(7) are
+  // separate groups even though they compare equal.
+  static std::string KeyString(const ValueList& key);
+
  private:
   struct Group {
     ValueList key;
     Aggregator agg;
   };
-  static std::string KeyString(const ValueList& key);
   AggKind kind_;
   std::map<std::string, Group> groups_;
 };

@@ -1,5 +1,7 @@
 #include "src/dataflow/strand.h"
 
+#include <algorithm>
+
 #include "src/net/node.h"
 
 namespace p2 {
@@ -342,7 +344,8 @@ void Strand::EmitAggregates(const Bindings& trigger_binds, EvalContext& ctx) {
   });
 }
 
-ContinuousAggRule::ContinuousAggRule(Node* node, const Rule* rule, std::vector<StrandOp> ops)
+ContinuousAggRule::ContinuousAggRule(Node* node, const Rule* rule, std::vector<StrandOp> ops,
+                                     bool per_group)
     : node_(node), rule_(rule), ops_(std::move(ops)) {
   for (size_t i = 0; i < rule_->head.args.size(); ++i) {
     if (rule_->head.args[i].agg != AggKind::kNone) {
@@ -350,6 +353,13 @@ ContinuousAggRule::ContinuousAggRule(Node* node, const Rule* rule, std::vector<S
       agg_expr_ = rule_->head.args[i].expr.get();
       agg_position_ = i;
       break;
+    }
+  }
+  if (per_group) {
+    for (const StrandOp& op : ops_) {
+      if (op.kind == StrandOp::Kind::kJoin) {
+        body_ = op.table;
+      }
     }
   }
 }
@@ -479,50 +489,217 @@ void ContinuousAggRule::Recurse(size_t op_index, Bindings& binds, GroupedAggrega
   }
 }
 
-void ContinuousAggRule::Reevaluate() {
-  ++node_->stats().agg_reevals;
-  EvalContext ctx{node_->Now(), &node_->rng(), &node_->addr()};
+bool ContinuousAggRule::BindRow(const Tuple* row, Bindings* binds, EvalContext& ctx) {
+  for (const StrandOp& op : ops_) {
+    switch (op.kind) {
+      case StrandOp::Kind::kJoin:
+        if (row == nullptr) {
+          return true;
+        }
+        if (!MatchPredicate(*op.pred, *row, binds, ctx)) {
+          return false;
+        }
+        break;
+      case StrandOp::Kind::kAssign:
+        binds->Set(*op.var, EvalExpr(*op.expr, *binds, ctx));
+        break;
+      case StrandOp::Kind::kFilter:
+        if (!EvalExpr(*op.expr, *binds, ctx).Truthy()) {
+          return false;
+        }
+        break;
+      case StrandOp::Kind::kNotExists:
+        return false;  // never planned onto the per-group path
+    }
+  }
+  return true;
+}
+
+ContinuousAggRule::GroupMap::iterator ContinuousAggRule::GroupOf(const Tuple& row,
+                                                                 bool create,
+                                                                 EvalContext& ctx) {
+  Bindings binds;
+  bool ok = false;
+  ValueList key;
+  if (BindRow(&row, &binds, ctx)) {
+    key = GroupKey(binds, &ok, ctx);
+  }
+  if (!ok) {
+    return groups_.end();
+  }
+  std::string ks = GroupedAggregate::KeyString(key);
+  return create ? groups_.try_emplace(std::move(ks)).first : groups_.find(ks);
+}
+
+void ContinuousAggRule::AddMember(const TupleRef& row, uint64_t seq, EvalContext& ctx) {
+  auto group = GroupOf(*row, /*create=*/true, ctx);
+  if (group == groups_.end()) {
+    return;
+  }
+  std::vector<Member>& members = group->second.members;
+  // New rows arrive in seq order; only a replace lands mid-group.
+  auto at = members.end();
+  if (!members.empty() && members.back().seq > seq) {
+    at = std::upper_bound(members.begin(), members.end(), seq,
+                          [](uint64_t s, const Member& m) { return s < m.seq; });
+  }
+  members.insert(at, Member{seq, row});
+  Touch(group);
+}
+
+void ContinuousAggRule::RemoveMember(const Tuple& row, uint64_t seq, EvalContext& ctx) {
+  auto group = GroupOf(row, /*create=*/false, ctx);
+  if (group == groups_.end()) {
+    return;
+  }
+  std::vector<Member>& members = group->second.members;
+  auto at = std::lower_bound(members.begin(), members.end(), seq,
+                             [](const Member& m, uint64_t s) { return m.seq < s; });
+  if (at != members.end() && at->seq == seq) {
+    members.erase(at);
+  }
+  Touch(group);
+}
+
+void ContinuousAggRule::Touch(GroupMap::iterator group) {
+  if (!group->second.touched) {
+    group->second.touched = true;
+    touched_.push_back(group);
+  }
+}
+
+void ContinuousAggRule::Observe(const TableEvent& event) {
+  if (body_ == nullptr || !seeded_) {
+    return;  // before the first re-evaluation, its walk picks up every row
+  }
+  // Group keys are non-volatile, so no random stream is needed (or drawn).
+  EvalContext ctx{node_->Now(), nullptr, &node_->addr()};
+  if (event.displaced != nullptr) {
+    // A replace keeps the row's place: the displaced tuple leaves its group and the
+    // new one joins its own (possibly the same) at the same seq.
+    RemoveMember(**event.displaced, event.seq, ctx);
+  }
+  if (event.change == TableChange::kInsert) {
+    AddMember(event.tuple, event.seq, ctx);
+  } else {
+    RemoveMember(*event.tuple, event.seq, ctx);
+  }
+}
+
+std::vector<ContinuousAggRule::Fresh> ContinuousAggRule::RegroupAll(EvalContext& ctx) {
   GroupedAggregate groups(agg_kind_);
   Bindings binds;
   Recurse(0, binds, &groups, ctx);
-
-  auto emit = [&](const ValueList& key, const Value& result) {
-    ValueList fields;
-    size_t k = 0;
-    for (size_t i = 0; i < rule_->head.args.size(); ++i) {
-      fields.push_back(i == agg_position_ ? result : key[k++]);
-    }
-    if (fields.empty() || fields[0].kind() != Value::Kind::kString) {
-      ++node_->stats().dead_letters;
-      return;
-    }
-    node_->RouteTuple(Tuple::Make(rule_->head.name, std::move(fields)), false, ~0ULL);
-  };
-
-  // Emit new/changed groups.
-  std::map<std::string, std::pair<ValueList, Value>> current;
+  // Every group is in scope: each one with a result now, then each earlier emission
+  // that has none (a vanished group).
+  std::vector<Fresh> scope;
   groups.ForEach([&](const ValueList& key, const Value& result) {
-    std::string ks;
-    for (const Value& v : key) {
-      ks += static_cast<char>(v.kind());
-      ks += v.ToString();
-      ks += '\x1f';
-    }
-    current.emplace(ks, std::make_pair(key, result));
+    auto group = groups_.try_emplace(GroupedAggregate::KeyString(key)).first;
+    group->second.touched = true;
+    scope.push_back({group, true, key, result});
   });
-  for (const auto& [ks, kv] : current) {
-    auto prev = last_emitted_.find(ks);
-    if (prev == last_emitted_.end() || !(prev->second.second == kv.second)) {
-      emit(kv.first, kv.second);
+  for (auto group = groups_.begin(); group != groups_.end(); ++group) {
+    if (!group->second.touched) {
+      scope.push_back({group, false, {}, {}});
+    }
+    group->second.touched = false;
+  }
+  return scope;
+}
+
+std::vector<ContinuousAggRule::Fresh> ContinuousAggRule::RegroupTouched(EvalContext& ctx) {
+  Bindings binds;
+  // Expire (or, the first time, walk) the body table exactly where the full path's
+  // scan would: its kExpire notifications touch groups here and re-dirty the rule.
+  if (BindRow(nullptr, &binds, ctx)) {
+    if (seeded_) {
+      body_->ExpireStale(ctx.now);
+    } else {
+      size_t rows = body_->ForEachLiveRow(ctx.now, [&](const TupleRef& row, uint64_t seq) {
+        AddMember(row, seq, ctx);
+        return true;
+      });
+      seeded_ = true;
+      if (metrics_ != nullptr) {
+        metrics_->join_scan_rows += rows;
+      }
     }
   }
-  // Vanished groups: a materialized result row is retracted (otherwise a `delete` rule
-  // clearing the underlying table would see its cleanup resurrected as a zero row); an
-  // unmaterialized count head emits a final zero event.
-  for (const auto& [ks, kv] : last_emitted_) {
-    if (current.count(ks) != 0) {
+  std::sort(touched_.begin(), touched_.end(),
+            [](GroupMap::iterator a, GroupMap::iterator b) { return a->first < b->first; });
+  std::vector<Fresh> scope;
+  scope.reserve(touched_.size());
+  size_t rows = 0;
+  for (GroupMap::iterator group : touched_) {
+    group->second.touched = false;
+    const std::vector<Member>& members = group->second.members;
+    Fresh fresh{group, false, {}, {}};
+    Aggregator agg(agg_kind_);
+    // Members in table order, as the full path's scan feeds them: min/max keep the
+    // first of equal values, sums add in that order, and the first member names the
+    // group.
+    for (const Member& m : members) {
+      bool first = &m == &members.front();
+      if (first || agg_expr_ != nullptr) {
+        binds.TruncateTo(0);
+        BindRow(m.row.get(), &binds, ctx);  // holds: only matching rows are members
+      }
+      if (first) {
+        bool ok = false;
+        fresh.key = GroupKey(binds, &ok, ctx);
+      }
+      agg.Add(agg_expr_ != nullptr ? EvalExpr(*agg_expr_, binds, ctx) : Value::Null());
+    }
+    rows += members.size();
+    if (!members.empty() && agg.HasResult()) {
+      fresh.has_result = true;
+      fresh.result = agg.Result();
+    }
+    scope.push_back(std::move(fresh));
+  }
+  touched_.clear();
+  if (metrics_ != nullptr) {
+    metrics_->join_probe_rows += rows;
+  }
+  return scope;
+}
+
+void ContinuousAggRule::EmitResult(const ValueList& key, const Value& result) {
+  ValueList fields;
+  size_t k = 0;
+  for (size_t i = 0; i < rule_->head.args.size(); ++i) {
+    fields.push_back(i == agg_position_ ? result : key[k++]);
+  }
+  if (fields.empty() || fields[0].kind() != Value::Kind::kString) {
+    ++node_->stats().dead_letters;
+    return;
+  }
+  node_->RouteTuple(Tuple::Make(rule_->head.name, std::move(fields)), false, ~0ULL);
+}
+
+void ContinuousAggRule::Publish(std::vector<Fresh>& scope) {
+  // New and changed groups first, in key order.
+  for (Fresh& fresh : scope) {
+    if (!fresh.has_result) {
       continue;
     }
+    Group& group = fresh.group->second;
+    if (!group.emitted || !(group.result == fresh.result)) {
+      EmitResult(fresh.key, fresh.result);
+    }
+    group.emitted = true;
+    group.key = std::move(fresh.key);
+    group.result = std::move(fresh.result);
+  }
+  // Then vanished groups, in key order: a materialized result row is retracted
+  // (otherwise a `delete` rule clearing the underlying table would see its cleanup
+  // resurrected as a zero row); an unmaterialized count head emits a final zero event.
+  for (Fresh& fresh : scope) {
+    Group& group = fresh.group->second;
+    if (fresh.has_result || !group.emitted) {
+      continue;
+    }
+    group.emitted = false;
     if (node_->catalog().IsMaterialized(rule_->head.name)) {
       ValueList fields;
       uint64_t mask = 0;
@@ -531,7 +708,7 @@ void ContinuousAggRule::Reevaluate() {
         if (i == agg_position_) {
           fields.push_back(Value::Null());  // wildcard
         } else {
-          fields.push_back(kv.first[k++]);
+          fields.push_back(group.key[k++]);
           mask |= (1ULL << i);
         }
       }
@@ -540,10 +717,21 @@ void ContinuousAggRule::Reevaluate() {
                           /*is_delete=*/true, mask);
       }
     } else if (agg_kind_ == AggKind::kCount) {
-      emit(kv.first, Value::Int(0));
+      EmitResult(group.key, Value::Int(0));
     }
   }
-  last_emitted_ = std::move(current);
+  for (Fresh& fresh : scope) {
+    if (!fresh.group->second.emitted && fresh.group->second.members.empty()) {
+      groups_.erase(fresh.group);
+    }
+  }
+}
+
+void ContinuousAggRule::Reevaluate() {
+  ++node_->stats().agg_reevals;
+  EvalContext ctx{node_->Now(), &node_->rng(), &node_->addr()};
+  std::vector<Fresh> scope = body_ != nullptr ? RegroupTouched(ctx) : RegroupAll(ctx);
+  Publish(scope);
 }
 
 }  // namespace p2

@@ -8,7 +8,9 @@
 // stage-completion / output taps exactly where P2's dataflow taps sit (Figure 2).
 //
 // ContinuousAggRule covers rules whose body is entirely materialized and whose head
-// aggregates: they re-evaluate as a full group-by whenever a body table changes.
+// aggregates. A body that reads one table through assignments and filters only is kept
+// per group: a change re-aggregates just the groups it touched. Any other body is
+// recomputed as a full group-by whenever one of its tables changes.
 
 #ifndef SRC_DATAFLOW_STRAND_H_
 #define SRC_DATAFLOW_STRAND_H_
@@ -116,12 +118,21 @@ class Strand {
   std::vector<Bindings> batch_;     // match set collected for the current trigger
 };
 
-// A rule whose body predicates are all materialized and whose head aggregates:
-// re-evaluated in full on any body-table change, emitting only changed groups. When a
-// group vanishes and the aggregate is count, a zero-count tuple is emitted once.
+// A rule whose body predicates are all materialized and whose head aggregates. Each
+// re-evaluation emits only the groups whose result changed; when a group vanishes, a
+// materialized result row is retracted and an unmaterialized count emits a zero-count
+// tuple once. The planner picks one of two paths from the rule's shape:
+//  * per group: one table predicate, then only assignments and filters, nothing
+//    volatile, so the group a row falls in and what it adds depend on that row alone.
+//    The rule keeps each group's member rows in table order from the table's change
+//    notifications (Observe) and re-aggregates only the groups a change touched,
+//    emitting exactly what a full recomputation would;
+//  * full: any other body (joins, negation, volatile terms) re-runs the whole
+//    group-by on every re-evaluation.
 class ContinuousAggRule {
  public:
-  ContinuousAggRule(Node* node, const Rule* rule, std::vector<StrandOp> ops);
+  ContinuousAggRule(Node* node, const Rule* rule, std::vector<StrandOp> ops,
+                    bool per_group);
 
   ContinuousAggRule(const ContinuousAggRule&) = delete;
   ContinuousAggRule& operator=(const ContinuousAggRule&) = delete;
@@ -132,7 +143,11 @@ class ContinuousAggRule {
   // Names of the body tables whose changes must mark this rule dirty.
   std::vector<std::string> BodyTableNames() const;
 
-  // Recomputes the group-by and emits changed groups.
+  // A change to a body table (the node forwards each one before marking the rule
+  // dirty). Keeps group membership current on the per-group path; no-op otherwise.
+  void Observe(const TableEvent& event);
+
+  // Re-aggregates (every group, or the touched ones) and emits changed groups.
   void Reevaluate();
 
   // Telemetry handle, as on Strand (execs counts re-evaluations).
@@ -142,9 +157,43 @@ class ContinuousAggRule {
   bool dirty = false;  // coalesces re-evaluation requests (managed by the node)
 
  private:
+  struct Member {
+    uint64_t seq;  // the row's TableEvent::seq
+    TupleRef row;
+  };
+  struct Group {
+    std::vector<Member> members;  // per-group path only; ascending seq
+    bool touched = false;         // queued in touched_ (or seen, on the full path)
+    bool emitted = false;         // key/result hold the last emission
+    ValueList key;
+    Value result;
+  };
+  // Keyed by GroupedAggregate::KeyString, so iteration is emission order.
+  using GroupMap = std::map<std::string, Group>;
+  // A group in scope of one re-evaluation, with its new result if it has one.
+  struct Fresh {
+    GroupMap::iterator group;
+    bool has_result = false;
+    ValueList key;
+    Value result;
+  };
+
   void Recurse(size_t op_index, Bindings& binds, GroupedAggregate* groups,
                EvalContext& ctx);
   ValueList GroupKey(const Bindings& binds, bool* ok, EvalContext& ctx);
+  // Runs the per-group body over one body-table row; false when the row fails it.
+  // With `row` null, runs only the ops before the table lookup.
+  bool BindRow(const Tuple* row, Bindings* binds, EvalContext& ctx);
+  // The group `row` falls in, or groups_.end() (created when `create` is set).
+  GroupMap::iterator GroupOf(const Tuple& row, bool create, EvalContext& ctx);
+  void AddMember(const TupleRef& row, uint64_t seq, EvalContext& ctx);
+  void RemoveMember(const Tuple& row, uint64_t seq, EvalContext& ctx);
+  void Touch(GroupMap::iterator group);
+  std::vector<Fresh> RegroupAll(EvalContext& ctx);
+  std::vector<Fresh> RegroupTouched(EvalContext& ctx);
+  // Emits the scope's changed groups, then its vanished ones, and records the result.
+  void Publish(std::vector<Fresh>& scope);
+  void EmitResult(const ValueList& key, const Value& result);
 
   Node* node_;
   const Rule* rule_;
@@ -153,8 +202,12 @@ class ContinuousAggRule {
   AggKind agg_kind_ = AggKind::kNone;
   const Expr* agg_expr_ = nullptr;
   size_t agg_position_ = 0;
-  // Previous emission per group (keyed by printable group key).
-  std::map<std::string, std::pair<ValueList, Value>> last_emitted_;
+  // The per-group path's body table; null on the full path.
+  Table* body_ = nullptr;
+  // Membership starts at the first re-evaluation, which walks the rows then present.
+  bool seeded_ = false;
+  GroupMap groups_;  // every group with members or a standing emission
+  std::vector<GroupMap::iterator> touched_;
 };
 
 }  // namespace p2

@@ -165,7 +165,15 @@ bool Node::UnloadProgram(uint64_t program_id) {
       agg_by_id_.erase(it->second);
       agg_ids_.erase(it);
     }
+    // Nothing reaches the rule any more (listeners and queued re-evaluations go
+    // through agg_by_id_), so free it and the body rows its groups hold.
+    agg_rules_.erase(std::remove_if(agg_rules_.begin(), agg_rules_.end(),
+                                    [agg](const std::unique_ptr<ContinuousAggRule>& r) {
+                                      return r.get() == agg;
+                                    }),
+                     agg_rules_.end());
   }
+  found->aggs.clear();
   // Free the rule ids and drop introspection rows and rule metrics. The unloaded
   // strands are inert (they can never trigger again), so invalidating their
   // RuleMetrics handles is safe.
@@ -215,10 +223,12 @@ void Node::RegisterAggRule(std::unique_ptr<ContinuousAggRule> rule) {
     Table* table = catalog_.Get(table_name);
     if (table != nullptr) {
       // Indirect through the id so the listener degrades to a no-op if the rule's
-      // program is later unloaded.
-      table->AddListener([this, agg_id](TableChange, const TupleRef&) {
+      // program is later unloaded. Every change re-dirties the rule, even one that
+      // touches no group, so re-evaluations stay one per coalesced batch of changes.
+      table->AddListener([this, agg_id](const TableEvent& event) {
         auto it = agg_by_id_.find(agg_id);
         if (it != agg_by_id_.end()) {
+          it->second->Observe(event);
           MarkAggDirty(it->second);
         }
       });
@@ -1019,7 +1029,7 @@ void Node::ProcessDeliveryRun(const std::vector<Pending>& run) {
     }
     ++stats_.local_deliveries;
     if (watched) {
-      watch_log_.push_back(WatchEntry{now, p.tuple});
+      watch_log_.push_back(WatchEntry{now, p.tuple, p.is_delete, p.bound_mask});
       while (watch_log_.size() > 1000) {
         watch_log_.pop_front();
       }
@@ -1099,7 +1109,7 @@ void Node::ProcessDelivery(const Pending& p) {
   const std::string& name = p.tuple->name();
   double now = Now();
   if (watched_.count(name) > 0) {
-    watch_log_.push_back(WatchEntry{now, p.tuple});
+    watch_log_.push_back(WatchEntry{now, p.tuple, p.is_delete, p.bound_mask});
     while (watch_log_.size() > 1000) {
       watch_log_.pop_front();
     }

@@ -301,6 +301,8 @@ class Node {
   struct WatchEntry {
     double time;
     TupleRef tuple;
+    bool is_delete;       // a retraction: rows matching `tuple` on bound_mask go
+    uint64_t bound_mask;  // fields of `tuple` that are bound (bit i = field i)
   };
   const std::deque<WatchEntry>& watch_log() const { return watch_log_; }
   // Optional sink called for each watched tuple (e.g. to print).

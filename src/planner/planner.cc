@@ -60,6 +60,39 @@ bool IsVolatile(const Expr& expr) {
   return false;
 }
 
+// True when a continuous aggregate can be kept per group (ContinuousAggRule): the body
+// reads one table, the other terms are assignments and filters, and nothing in the rule
+// is volatile, so the group a row falls in and what it adds depend on that row alone.
+// A table bounded to zero rows reports each insert after evicting it, which membership
+// cannot follow; such a table never holds a row, so the full path costs nothing there.
+bool AggregatesPerGroup(const Rule& rule, Catalog& catalog) {
+  const Predicate* lookup = nullptr;
+  for (const BodyTerm& term : rule.body) {
+    if (term.kind != BodyTerm::Kind::kPredicate) {
+      if (IsVolatile(*term.expr)) {
+        return false;
+      }
+      continue;
+    }
+    if (lookup != nullptr) {
+      return false;  // a join or a negation
+    }
+    lookup = &term.pred;
+    for (const ExprPtr& arg : term.pred.args) {
+      if (IsVolatile(*arg)) {
+        return false;
+      }
+    }
+  }
+  for (const HeadArg& arg : rule.head.args) {
+    if (arg.expr != nullptr && IsVolatile(*arg.expr)) {
+      return false;
+    }
+  }
+  Table* table = lookup != nullptr ? catalog.Get(lookup->name) : nullptr;
+  return table != nullptr && table->spec().max_size > 0;
+}
+
 // Adds the variables that `pred` binds when matched (its plain-variable arguments).
 void AddBoundVars(const Predicate& pred, std::set<std::string>* bound) {
   for (const ExprPtr& arg : pred.args) {
@@ -100,8 +133,8 @@ std::vector<size_t> BoundEqualityPositions(const Predicate& pred,
 // secondary index over the bound equality prefix, falling back to a scan when
 // nothing is bound or indexes are disabled on this node.
 void SelectIndex(StrandOp* op, const Predicate& pred, Table* table,
-                 const std::set<std::string>& bound, Node* node) {
-  if (op->key_lookup || !node->options().use_join_indexes) {
+                 const std::set<std::string>& bound, Node* node, bool index_joins) {
+  if (op->key_lookup || !index_joins || !node->options().use_join_indexes) {
     return;
   }
   std::vector<size_t> positions = BoundEqualityPositions(pred, bound);
@@ -121,8 +154,9 @@ void SelectIndex(StrandOp* op, const Predicate& pred, Table* table,
 
 // Builds the post-trigger op sequence for `rule`, excluding `trigger` (which may be
 // null for continuous aggregates). Assignments and filters are placed at the earliest
-// point where all their variables are bound.
-bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node,
+// point where all their variables are bound. With `index_joins` off, no lookup asks
+// for a secondary index (a per-group aggregate never probes its table).
+bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node, bool index_joins,
               std::vector<StrandOp>* ops, int* num_stages, std::string* error) {
   std::set<std::string> bound;
   if (trigger != nullptr) {
@@ -241,7 +275,7 @@ bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node,
         }
         op.key_lookup = covered;
       }
-      SelectIndex(&op, term.pred, table, bound, node);
+      SelectIndex(&op, term.pred, table, bound, node, index_joins);
       ops->push_back(op);
       ++joins_placed;
       AddBoundVars(term.pred, &bound);
@@ -273,7 +307,7 @@ bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node,
     op.kind = StrandOp::Kind::kNotExists;
     op.pred = &term->pred;
     op.table = table;
-    SelectIndex(&op, term->pred, table, bound, node);
+    SelectIndex(&op, term->pred, table, bound, node, index_joins);
     ops->push_back(op);
   }
   *num_stages = stage;
@@ -366,7 +400,7 @@ bool PlanProgram(const Program& program, Node* node, PlanResult* out, std::strin
         }
         std::vector<StrandOp> ops;
         int num_stages = 0;
-        if (!BuildOps(rule, trigger, node, &ops, &num_stages, error)) {
+        if (!BuildOps(rule, trigger, node, /*index_joins=*/true, &ops, &num_stages, error)) {
           return false;
         }
         auto strand =
@@ -377,7 +411,7 @@ bool PlanProgram(const Program& program, Node* node, PlanResult* out, std::strin
       }
       std::vector<StrandOp> ops;
       int num_stages = 0;
-      if (!BuildOps(rule, trigger, node, &ops, &num_stages, error)) {
+      if (!BuildOps(rule, trigger, node, /*index_joins=*/true, &ops, &num_stages, error)) {
         return false;
       }
       out->strands.push_back(
@@ -391,21 +425,24 @@ bool PlanProgram(const Program& program, Node* node, PlanResult* out, std::strin
       return false;
     }
     if (agg_count > 0) {
-      // Continuous aggregate: full re-evaluation on any body-table change.
+      // Continuous aggregate: per group when the shape allows, else a full group-by
+      // on every body-table change.
+      bool per_group = AggregatesPerGroup(rule, catalog);
       std::vector<StrandOp> ops;
       int num_stages = 0;
-      if (!BuildOps(rule, nullptr, node, &ops, &num_stages, error)) {
+      if (!BuildOps(rule, nullptr, node, /*index_joins=*/!per_group, &ops, &num_stages,
+                    error)) {
         return false;
       }
       out->agg_rules.push_back(
-          std::make_unique<ContinuousAggRule>(node, &rule, std::move(ops)));
+          std::make_unique<ContinuousAggRule>(node, &rule, std::move(ops), per_group));
       continue;
     }
     // Delta strands: one per materialized body predicate.
     for (const Predicate* delta : tables) {
       std::vector<StrandOp> ops;
       int num_stages = 0;
-      if (!BuildOps(rule, delta, node, &ops, &num_stages, error)) {
+      if (!BuildOps(rule, delta, node, /*index_joins=*/true, &ops, &num_stages, error)) {
         return false;
       }
       out->strands.push_back(

@@ -146,6 +146,7 @@ void Table::HeapFix(size_t pos) {
 
 void Table::Remove(RowIt it, TableChange change) {
   TupleRef tuple = it->tuple;
+  const uint64_t seq = it->seq;
   index_.erase(MakeKey(*tuple));
   SecondaryRemove(it);
   if (it->heap_pos != kNoSlot) {
@@ -171,12 +172,12 @@ void Table::Remove(RowIt it, TableChange change) {
       ++counters_.deletes;
       break;
   }
-  Notify(change, tuple);
+  Notify({change, tuple, seq, nullptr});
 }
 
-void Table::Notify(TableChange change, const TupleRef& t) {
+void Table::Notify(const TableEvent& event) {
   for (const Listener& fn : listeners_) {
-    fn(change, t);
+    fn(event);
   }
 }
 
@@ -196,22 +197,24 @@ InsertOutcome Table::Insert(const TupleRef& t, double now) {
       return InsertOutcome::kRefreshed;
     }
     SecondaryRemove(it->second);  // indexed field values may change with the payload
+    TupleRef displaced = std::move(row.tuple);
     row.tuple = t;
     row.expires_at = expires;
     SecondaryAdd(it->second);
     HeapFix(row.heap_pos);
     ++counters_.inserts;
-    Notify(TableChange::kInsert, t);
+    Notify({TableChange::kInsert, t, row.seq, &displaced});
     return InsertOutcome::kReplaced;
   }
-  rows_.push_back(Row{t, expires, next_seq_++, kNoSlot});
+  const uint64_t seq = next_seq_++;
+  rows_.push_back(Row{t, expires, seq, kNoSlot});
   RowIt row = std::prev(rows_.end());
   index_.emplace(std::move(key), row);
   SecondaryAdd(row);
   HeapPush(row);
   EvictOverflow();
   ++counters_.inserts;
-  Notify(TableChange::kInsert, t);
+  Notify({TableChange::kInsert, t, seq, nullptr});
   return InsertOutcome::kNew;
 }
 

@@ -73,13 +73,25 @@ enum class TableChange {
   kEvict    // displaced by the size bound
 };
 
+// One change, as listeners see it.
+struct TableEvent {
+  TableChange change;
+  const TupleRef& tuple;  // the row's tuple; for a replacing kInsert, the new one
+  // The row's insertion rank: ForEachLive walks rows in ascending seq. A replace keeps
+  // the displaced row's place, and so its seq.
+  uint64_t seq;
+  // On a kInsert that replaced a row, the tuple it displaced (no kDelete is reported
+  // for it); null otherwise.
+  const TupleRef* displaced;
+};
+
 class Table {
  public:
   // A listener is called synchronously after each change. It must never mutate the
   // table that notified it (ExpireStale notifies after unhooking the whole expired
   // batch from the heap); mutating another table is allowed, as the tracer's GC
   // listener does when a ruleExec row drops the last reference to a tupleTable row.
-  using Listener = std::function<void(TableChange, const TupleRef&)>;
+  using Listener = std::function<void(const TableEvent&)>;
 
   explicit Table(TableSpec spec);
 
@@ -117,6 +129,14 @@ class Table {
   // ruleExec rows as it emits) both safe and equivalent to iterating a Scan copy.
   template <typename Fn>
   size_t ForEachLive(double now, Fn&& fn) {
+    return ForEachLiveRow(now, [&fn](const TupleRef& t, uint64_t) { return fn(t); });
+  }
+
+  // ForEachLive for callers that keep rows in table order themselves: `fn` is called
+  // as fn(const TupleRef&, uint64_t seq) -> bool, with the seq listeners see
+  // (TableEvent::seq).
+  template <typename Fn>
+  size_t ForEachLiveRow(double now, Fn&& fn) {
     ExpireStale(now);
     IterGuard guard(this);
     const uint64_t seq_bound = next_seq_;  // rows_ is seq-ordered
@@ -129,7 +149,7 @@ class Table {
         continue;  // expired/deleted but not yet purged (erasure deferred)
       }
       ++yielded;
-      if (!fn(row.tuple)) {
+      if (!fn(row.tuple, row.seq)) {
         break;
       }
     }
@@ -272,7 +292,7 @@ class Table {
   // Unlinks a row from every lookup and the heap, erases it (or leaves a corpse while
   // a walk is in flight), counts the change and notifies listeners.
   void Remove(RowIt it, TableChange change);
-  void Notify(TableChange change, const TupleRef& t);
+  void Notify(const TableEvent& event);
   void EvictOverflow();
   void EndIterMaintenance();
 

@@ -21,6 +21,10 @@ namespace {
 bool IsId(const Value& v) { return v.kind() == Value::Kind::kId; }
 bool IsDoubleKind(const Value& v) { return v.kind() == Value::Kind::kDouble; }
 
+// Int arithmetic wraps modulo 2^64 (two's complement), computed in uint64_t so an
+// overflowing operand pair is defined behaviour rather than UB.
+int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
+
 }  // namespace
 
 Value Value::Bool(bool b) {
@@ -251,7 +255,7 @@ Value Value::Add(const Value& a, const Value& b) {
   if (IsDoubleKind(a) || IsDoubleKind(b)) {
     return Double(a.ToDouble() + b.ToDouble());
   }
-  return Int(a.ToInt() + b.ToInt());
+  return Int(Wrap(a.ToUint() + b.ToUint()));
 }
 
 Value Value::Sub(const Value& a, const Value& b) {
@@ -264,7 +268,7 @@ Value Value::Sub(const Value& a, const Value& b) {
   if (IsDoubleKind(a) || IsDoubleKind(b)) {
     return Double(a.ToDouble() - b.ToDouble());
   }
-  return Int(a.ToInt() - b.ToInt());
+  return Int(Wrap(a.ToUint() - b.ToUint()));
 }
 
 Value Value::Mul(const Value& a, const Value& b) {
@@ -277,7 +281,7 @@ Value Value::Mul(const Value& a, const Value& b) {
   if (IsDoubleKind(a) || IsDoubleKind(b)) {
     return Double(a.ToDouble() * b.ToDouble());
   }
-  return Int(a.ToInt() * b.ToInt());
+  return Int(Wrap(a.ToUint() * b.ToUint()));
 }
 
 Value Value::Div(const Value& a, const Value& b) {
@@ -321,13 +325,16 @@ Value Value::Mod(const Value& a, const Value& b) {
   if (m == 0) {
     return Null();
   }
+  if (m == -1) {
+    return Int(0);  // INT64_MIN % -1 traps in hardware; every X % -1 is 0
+  }
   return Int(a.ToInt() % m);
 }
 
 Value Value::Neg(const Value& a) {
   switch (a.kind_) {
     case Kind::kInt:
-      return Int(-a.i_);
+      return Int(Wrap(0 - static_cast<uint64_t>(a.i_)));
     case Kind::kId:
       return Id(~a.u_ + 1);
     case Kind::kDouble:

@@ -16,10 +16,11 @@ void Tracer::AttachTables(Table* rule_exec, Table* tuple_table) {
   tuple_table_ = tuple_table;
   // Reference-count GC: when a ruleExec row goes away, the tuples it referred to lose a
   // reference; at zero the tupleTable row and the memoized tuple are dropped.
-  rule_exec_->AddListener([this](TableChange change, const TupleRef& row) {
-    if (change == TableChange::kInsert || in_gc_) {
+  rule_exec_->AddListener([this](const TableEvent& e) {
+    if (e.change == TableChange::kInsert || in_gc_) {
       return;
     }
+    const TupleRef& row = e.tuple;
     if (row->arity() >= 4) {
       in_gc_ = true;
       if (row->field(2).kind() == Value::Kind::kId) {

@@ -17,6 +17,7 @@
 #include "src/common/strings.h"
 #include "src/mon/consistency.h"
 #include "src/mon/ring_checks.h"
+#include "src/mon/snapshot.h"
 #include "src/simtest/simfuzz.h"
 #include "src/testbed/testbed.h"
 
@@ -60,8 +61,10 @@ struct FleetRun {
 
 // The full monitored deployment at `shards` workers: a 10-node Chord ring, ring
 // checks fleet-wide, consistency probes at the landmark, and a DHT put/get
-// workload, with tracing on so ruleExec rows enter the digest.
-FleetRun RunMonitoredFleet(int shards) {
+// workload, with tracing on so ruleExec rows enter the digest. With `snapshots`,
+// every node also runs the Chandy-Lamport snapshot rules (node 0 initiates), so
+// the snapshot's continuous aggregates (bp2, sr12) shape the digest too.
+FleetRun RunMonitoredFleet(int shards, bool snapshots = false) {
   TestbedConfig cfg;
   cfg.num_nodes = 10;
   cfg.fleet.seed = 99;
@@ -71,13 +74,17 @@ FleetRun RunMonitoredFleet(int shards) {
   ChordTestbed bed(cfg);
   bed.Run(80);
 
-  for (NodeHandle node : bed.handles()) {
+  for (size_t i = 0; i < bed.size(); ++i) {
     RingCheckConfig rc;
     rc.probe_period = 5.0;
+    SnapshotConfig sc;
+    sc.snap_period = 10.0;
+    sc.initiator = i == 0;
     std::string error;
-    EXPECT_TRUE(node.Install(
+    EXPECT_TRUE(bed.handle(i).Install(
         [&](Node* n, std::string* e) {
-          return InstallRingChecks(n, rc, e) && InstallDht(n, DhtConfig(), e);
+          return InstallRingChecks(n, rc, e) && InstallDht(n, DhtConfig(), e) &&
+                 (!snapshots || InstallSnapshot(n, sc, e));
         },
         &error))
         << error;
@@ -148,6 +155,41 @@ TEST(ShardEquivalenceTest, MonitoredChordDhtFleetIsBitIdenticalAcrossShardCounts
     EXPECT_EQ(run.digest, base.digest)
         << "shards=" << shards << " diverged at "
         << FirstDiffLine(base.digest, run.digest);
+  }
+}
+
+// 64-bit FNV-1a, for pinning a digest as a constant.
+uint64_t Fnv1a64(const std::string& s) {
+  uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The golden digest. The cross-shard tests above only diff K=1 against K=N, so a
+// change that moves every shard count the same way slips past them; this pins the
+// monitored fleet (snapshots included) to a constant at K=1 and K=4.
+//
+// When a change alters the fleet's semantics on purpose (a Chord protocol fix, a
+// new rule in a monitor), regenerate the constant: run this test on the new code
+// (a mismatch prints the new hash), check that only the intended tables moved (for
+// instance by writing `run.digest` to a file on both commits and diffing the two),
+// paste the new hash below, and say why in CHANGES.md.
+TEST(ShardEquivalenceTest, MonitoredFleetWithSnapshotsMatchesGoldenDigest) {
+  constexpr uint64_t kGolden = 0xa8dfe1f18d2005e4ULL;
+  for (int shards : {1, 4}) {
+    FleetRun run = RunMonitoredFleet(shards, /*snapshots=*/true);
+    EXPECT_EQ(run.correct_succ, 10) << "shards=" << shards;
+    // The continuous aggregates under test must have produced rows.
+    for (const char* row : {"\ndoneChannels(", "\nnumBackPointers(", "\nrespCluster(",
+                            "\nmaxCluster(", "\nlookupCluster(", "\nsuccCount("}) {
+      EXPECT_NE(run.digest.find(row), std::string::npos) << row;
+    }
+    EXPECT_EQ(Fnv1a64(run.digest), kGolden)
+        << "shards=" << shards << " digest hash "
+        << StrFormat("0x%016llxULL", static_cast<unsigned long long>(Fnv1a64(run.digest)));
   }
 }
 

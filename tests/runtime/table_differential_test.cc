@@ -85,15 +85,17 @@ class RefTable {
         ++counters_.refreshes;
         return InsertOutcome::kRefreshed;
       }
+      TupleRef displaced = row.tuple;
       row.tuple = t;
       ++counters_.inserts;
-      Notify(TableChange::kInsert, t);
+      Notify(TableChange::kInsert, t, row.seq, &displaced);
       return InsertOutcome::kReplaced;
     }
-    rows_.push_back({t, expires, next_seq_++, false});
+    const uint64_t seq = next_seq_++;
+    rows_.push_back({t, expires, seq, false});
     EvictOverflow();
     ++counters_.inserts;
-    Notify(TableChange::kInsert, t);
+    Notify(TableChange::kInsert, t, seq);
     return InsertOutcome::kNew;
   }
 
@@ -112,6 +114,7 @@ class RefTable {
         continue;
       }
       TupleRef victim = rows_[i].tuple;
+      const uint64_t seq = rows_[i].seq;
       if (depth_ > 0) {
         rows_[i].dead = true;
         rows_[i].expires_at = -kInf;
@@ -121,7 +124,7 @@ class RefTable {
       }
       ++deleted;
       ++counters_.deletes;
-      Notify(TableChange::kDelete, victim);
+      Notify(TableChange::kDelete, victim, seq);
     }
     return deleted;
   }
@@ -137,10 +140,11 @@ class RefTable {
         continue;
       }
       TupleRef victim = rows_[i].tuple;
+      const uint64_t seq = rows_[i].seq;
       rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(i));
       ++expired;
       ++counters_.expires;
-      Notify(TableChange::kExpire, victim);
+      Notify(TableChange::kExpire, victim, seq);
     }
     return expired;
   }
@@ -232,9 +236,10 @@ class RefTable {
     return spec_.key_fields.empty() ? t.fields() : ValuesAt(t, spec_.key_fields);
   }
 
-  void Notify(TableChange change, const TupleRef& t) {
+  void Notify(TableChange change, const TupleRef& t, uint64_t seq,
+              const TupleRef* displaced = nullptr) {
     for (const Table::Listener& fn : listeners_) {
-      fn(change, t);
+      fn({change, t, seq, displaced});
     }
   }
 
@@ -250,9 +255,10 @@ class RefTable {
         }
       }
       TupleRef t = rows_[victim].tuple;
+      const uint64_t seq = rows_[victim].seq;
       rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(victim));
       ++counters_.evictions;
-      Notify(TableChange::kEvict, t);
+      Notify(TableChange::kEvict, t, seq);
     }
   }
 
@@ -498,8 +504,10 @@ void Apply(T& table, const Op& op, std::vector<std::string>* events,
 
 template <typename T>
 void Listen(T& table, std::vector<std::string>* events) {
-  table.AddListener([events](TableChange change, const TupleRef& t) {
-    events->push_back(std::to_string(static_cast<int>(change)) + " " + Text(t));
+  table.AddListener([events](const TableEvent& e) {
+    events->push_back(std::to_string(static_cast<int>(e.change)) + " " + Text(e.tuple) +
+                      " seq=" + std::to_string(e.seq) +
+                      (e.displaced != nullptr ? " displaced=" + Text(*e.displaced) : ""));
   });
 }
 

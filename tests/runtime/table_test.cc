@@ -91,7 +91,7 @@ TEST(TableTest, DeleteMatchingWithWildcards) {
 TEST(TableTest, ListenersObserveChanges) {
   Table table(Spec("t", 10, 2, {0, 1}));
   std::vector<TableChange> changes;
-  table.AddListener([&](TableChange c, const TupleRef&) { changes.push_back(c); });
+  table.AddListener([&](const TableEvent& e) { changes.push_back(e.change); });
   table.Insert(Row("n", 1, 1), 0);   // kInsert
   table.Insert(Row("n", 1, 2), 0);   // kInsert (replace)
   table.Insert(Row("n", 1, 2), 0);   // refresh: no notification

@@ -69,6 +69,28 @@ TEST(ValueTest, DivisionSemantics) {
   EXPECT_EQ(Value::Mod(Value::Int(7), Value::Int(3)).AsInt(), 1);
 }
 
+// Int arithmetic wraps modulo 2^64 like the two's-complement hardware it runs on, so
+// overflow is defined (no UB under -fsanitize=undefined) and never traps.
+TEST(ValueTest, IntArithmeticWrapsOnOverflow) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Value::Add(Value::Int(kMax), Value::Int(1)).AsInt(), kMin);
+  EXPECT_EQ(Value::Sub(Value::Int(kMin), Value::Int(1)).AsInt(), kMax);
+  EXPECT_EQ(Value::Mul(Value::Int(kMin), Value::Int(-1)).AsInt(), kMin);
+  EXPECT_EQ(Value::Neg(Value::Int(kMin)).AsInt(), kMin);
+  EXPECT_EQ(Value::Neg(Value::Int(5)).AsInt(), -5);
+  EXPECT_EQ(Value::Mul(Value::Int(-3), Value::Int(4)).AsInt(), -12);
+}
+
+// INT64_MIN % -1 overflows the quotient and raises SIGFPE on x86; a rule computing
+// X % Y over received values must not be crashable by a peer.
+TEST(ValueTest, IntModByMinusOneIsZero) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Value::Mod(Value::Int(kMin), Value::Int(-1)).AsInt(), 0);
+  EXPECT_EQ(Value::Mod(Value::Int(7), Value::Int(-1)).AsInt(), 0);
+  EXPECT_EQ(Value::Mod(Value::Int(-7), Value::Int(3)).AsInt(), -1);
+}
+
 TEST(ValueTest, Truthiness) {
   EXPECT_FALSE(Value::Null().Truthy());
   EXPECT_FALSE(Value::Bool(false).Truthy());
