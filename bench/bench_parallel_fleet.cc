@@ -1,14 +1,14 @@
 // Scaling baseline for the sharded parallel fleet runtime (docs/SCALING.md).
 //
 // Runs the same 256-node monitored Chord deployment (ring checks fleet-wide,
-// consistency probes at the initiator) at K = 1, 2, 4, 8 worker shards and reports,
+// consistency probes at the initiator) at K = 1, 2, 4, 8 threads and reports,
 // per K:
 //   * wall-clock seconds of the measurement window on THIS machine (honest number:
 //     on a single-core host the threaded runtime cannot beat K=1);
-//   * the conservative-window critical path — per window, the busiest shard's
+//   * the conservative-window critical path — per window, the busiest thread's
 //     execution time, summed — which models the wall clock of a K-core host;
-//   * modeled speedup = total shard busy time / critical path (perfectly balanced
-//     shards with no barrier stalls would approach K);
+//   * modeled speedup = total thread busy time / critical path (perfectly balanced
+//     threads with no barrier stalls would approach K);
 //   * window/cross-shard-message counts from the shard scheduler;
 //   * the determinism columns: tx_msgs, live_tuples, and ring correctness must be
 //     bit-identical across every K (the bench fails loudly when they diverge).
@@ -86,10 +86,9 @@ ShardRow RunFleet(int shards, int num_nodes, double measure_secs, double stagger
 
   // The monitored deployment: passive+active ring checks on every node, the
   // paper's routing-consistency probes on every 7th node (multi-hop lookups keep
-  // in-flight work spread across shards). The probe stride is coprime to every
-  // measured shard count: nodes are placed round-robin, so a stride of 8 would pin
-  // every probe initiator — the dominant per-node cost — onto one shard of 2/4/8
-  // and serialize the workload, which no real deployment's monitor placement would.
+  // in-flight work spread across nodes). Threads claim nodes per window, so the
+  // stride does not affect balance; it stays 7 so the workload, and with it the
+  // committed smoke baseline, stay unchanged.
   for (NodeHandle node : bed.handles()) {
     RingCheckConfig rc;
     rc.probe_period = 2.0;

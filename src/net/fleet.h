@@ -2,11 +2,11 @@
 //
 // Fleet is how host programs (examples, tools, benches, the testbed) build and drive
 // a simulated deployment. It owns the Network, derives every seed from one fleet
-// seed, and hands out NodeHandles whose operations are safe under the sharded
-// parallel runtime: anything that must happen at a simulation instant is *posted as
-// an event onto the owning shard's scheduler*, and anything immediate runs host-side
-// between Run calls (Run blocks until every shard has quiesced, so host code never
-// overlaps shard threads).
+// seed, and hands out NodeHandles whose operations are safe under the parallel
+// runtime: anything that must happen at a simulation instant is *posted as an event
+// onto the node's own scheduler*, and anything immediate runs host-side between Run
+// calls (Run blocks until every thread has quiesced, so host code never overlaps
+// the window threads).
 //
 // Seed derivation (the one meaning of "same seed" across olgrun, testbed, bench,
 // and simfuzz):
@@ -50,8 +50,8 @@ enum class FleetBackend { kSim, kUdp };
 // `seed` here and every network, link, and node stream derives from it.
 struct FleetConfig {
   uint64_t seed = 42;      // the fleet seed; everything derives from this
-  int shards = 1;          // worker shards (see NetworkConfig::shards)
-  double latency = 0.02;   // base one-way delay, seconds (also the shard lookahead)
+  int shards = 1;          // window threads (see NetworkConfig::shards)
+  double latency = 0.02;   // base one-way delay, seconds (also the window lookahead)
   double jitter = 0.01;    // uniform extra delay in [0, jitter). The K>1 determinism
                            // contract (docs/SCALING.md) requires jitter > 0.
   double loss_rate = 0.0;  // per-message drop probability
@@ -83,7 +83,7 @@ class UdpDriver;
 
 // A cheap, copyable reference to one node of a Fleet. Immediate methods run
 // host-side and are safe between Run calls; the *At variants post the operation
-// onto the owning shard's scheduler to fire at virtual time `t` during a later Run.
+// onto the node's own scheduler to fire at virtual time `t` during a later Run.
 class NodeHandle {
  public:
   NodeHandle() = default;
@@ -93,7 +93,6 @@ class NodeHandle {
   bool valid() const { return node_ != nullptr; }
 
   const std::string& addr() const { return node_->addr(); }
-  int shard() const { return node_->shard_index(); }
   bool IsUp() const { return node_->IsUp(); }
   double Now() const;
 
@@ -103,15 +102,15 @@ class NodeHandle {
             std::string* error = nullptr);
   bool LoadLowPriority(const std::string& source, const ParamMap& params,
                        std::string* error = nullptr);
-  // Posted install: compiles and installs at virtual time `t` on the owning shard.
+  // Posted install: compiles and installs at virtual time `t` on the node.
   // Install failures (parse/plan errors) go to `on_error` when provided; they
   // cannot be returned synchronously from a posted event.
   void LoadAt(double t, std::string source, ParamMap params = ParamMap(),
               std::function<void(const std::string&)> on_error = nullptr);
 
   // ---- event injection ----
-  // Injection is inherently posted: the tuple is routed at the current instant of
-  // the owning shard once the fleet runs.
+  // Injection is inherently posted: the tuple is routed at the node's current
+  // instant once the fleet runs.
   void Inject(const TupleRef& tuple);
   void InjectAt(double t, TupleRef tuple);
 
@@ -140,8 +139,8 @@ class NodeHandle {
   const std::deque<Node::WatchEntry>& WatchLog() const { return node_->watch_log(); }
   void MarkReliable(const std::string& name);
 
-  // General escape hatch: runs `fn` on this node at virtual time `t`, on the owning
-  // shard's thread — the only safe way to touch arbitrary Node state mid-run.
+  // General escape hatch: runs `fn` on this node at virtual time `t`, on the thread
+  // running the node — the only safe way to touch arbitrary Node state mid-run.
   void Post(double t, std::function<void(Node&)> fn);
 
   // Host-side immediate application of an app installer with the conventional
@@ -151,7 +150,7 @@ class NodeHandle {
                std::string* error = nullptr);
 
   // Host-side call of an app action that only injects events (DhtPut-style):
-  // injection posts onto the owning shard, so this is safe between Run calls.
+  // injection posts onto the node's own scheduler, so this is safe between Run calls.
   void Call(const std::function<void(Node*)>& fn) { fn(node_); }
 
   // The raw node. Single-thread/test-only: never mutate through this while the
@@ -194,8 +193,8 @@ class Fleet {
   // All nodes in address order.
   std::vector<NodeHandle> Handles();
 
-  // Runs the fleet. Sim backend: blocks until every shard's clock reaches the
-  // target, so host code before/after never overlaps shard threads. Udp backend:
+  // Runs the fleet. Sim backend: blocks until every node's clock reaches the
+  // target, so host code before/after never overlaps the window threads. Udp backend:
   // pumps sockets and timers for the equivalent *wall* duration — virtual time
   // advances in lockstep with the wall clock (re-anchored per call; wall time
   // spent between calls never leaks into the virtual clock).

@@ -7,7 +7,7 @@ namespace p2 {
 
 namespace {
 
-// Barrier wait helper: a short pause-spin (cheap when the other shards are about to
+// Barrier wait helper: a short pause-spin (cheap when the other threads are about to
 // arrive), then yield so single-core hosts make progress instead of burning a whole
 // timeslice per window.
 inline void SpinWait(int* spins) {
@@ -27,28 +27,29 @@ inline void SpinWait(int* spins) {
 Network::Network(NetworkConfig config) : config_(config) {
   int shards = std::max(1, config_.shards);
   // The conservative window width is the minimum link latency; with zero latency
-  // there is no lookahead and the protocol degenerates, so fall back to one shard.
+  // there is no lookahead and the protocol degenerates, so fall back to one thread.
   if (config_.latency <= 0) {
     shards = 1;
   }
   config_.shards = shards;
-  shards_.reserve(shards);
+  if (shards == 1) {
+    shared_sched_ = std::make_unique<Scheduler>();
+  }
+  workers_.reserve(shards);
   for (int i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->outbox.resize(shards);
-    shards_.push_back(std::move(shard));
+    workers_.push_back(std::make_unique<Worker>());
   }
 }
 
 Network::~Network() {
-  if (!workers_.empty()) {
+  if (!threads_.empty()) {
     {
       std::lock_guard<std::mutex> lock(pool_mu_);
       shutdown_ = true;
     }
     pool_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
+    for (std::thread& thread : threads_) {
+      thread.join();
     }
   }
 }
@@ -58,30 +59,41 @@ Node* Network::AddNode(const std::string& addr, NodeOptions options) {
          "AddNode must not be called while the network is running");
   auto [it, inserted] = nodes_.emplace(addr, nullptr);
   if (!inserted) {
-    return it->second.get();
+    return it->second->node.get();
   }
-  int shard = next_shard_;
-  next_shard_ = (next_shard_ + 1) % static_cast<int>(shards_.size());
-  ++shards_[shard]->node_count;
-  it->second =
-      std::make_unique<Node>(addr, this, options, &shards_[shard]->sched, shard);
-  return it->second.get();
+  auto slot = std::make_unique<NodeSlot>();
+  slot->add_index = slots_.size();
+  slot->runner = workers_[0].get();
+  Scheduler* sched = shared_sched_.get();
+  if (sched == nullptr) {
+    slot->sched = std::make_unique<Scheduler>();
+    slot->sched->RunUntil(now_);  // a node added between runs joins at the fleet's now
+    sched = slot->sched.get();
+  }
+  slot->node = std::make_unique<Node>(addr, this, options, sched);
+  slots_.push_back(slot.get());
+  it->second = std::move(slot);
+  return it->second->node.get();
 }
 
 Node* Network::GetNode(const std::string& addr) {
+  NodeSlot* slot = FindSlot(addr);
+  return slot == nullptr ? nullptr : slot->node.get();
+}
+
+Network::NodeSlot* Network::FindSlot(const std::string& addr) const {
   auto it = nodes_.find(addr);
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-Network::ChannelState& Network::ChannelFor(Shard& shard, const std::string& src,
-                                           const std::string& dst) {
-  auto key = std::make_pair(src, dst);
-  auto it = shard.channels.find(key);
-  if (it == shard.channels.end()) {
+Network::ChannelState& Network::ChannelFor(NodeSlot& from, const std::string& dst) {
+  auto it = from.channels.find(dst);
+  if (it == from.channels.end()) {
     // The stream depends only on (network seed, link name) — never on creation
     // order or shard count — so "same seed" replays the same link behavior at any K.
-    uint64_t link_seed = DeriveSeed(config_.seed, "link/" + src + ">" + dst);
-    it = shard.channels.emplace(key, ChannelState(link_seed)).first;
+    uint64_t link_seed =
+        DeriveSeed(config_.seed, "link/" + from.node->addr() + ">" + dst);
+    it = from.channels.emplace(dst, ChannelState(link_seed)).first;
   }
   return it->second;
 }
@@ -90,13 +102,14 @@ size_t Network::SendReturningSize(const std::string& src, const std::string& dst
                                   const WireEnvelope& env) {
   std::string bytes = EncodeEnvelope(env);
   size_t size = bytes.size();
-  Node* src_node = GetNode(src);
   // Sends always originate from a node's own event handler, so this runs on the
-  // source shard's thread and may touch only that shard's state.
-  Shard& shard = src_node != nullptr ? *shards_[src_node->shard_index()] : *shards_[0];
-  ++shard.total_msgs;
-  shard.total_bytes += size;
-  ChannelState& channel = ChannelFor(shard, src, dst);
+  // thread running `src` and may touch only its slot (and that thread's outbox).
+  NodeSlot* from_slot = FindSlot(src);
+  assert(from_slot != nullptr && "SendReturningSize: unknown source node");
+  NodeSlot& from = *from_slot;
+  ++from.total_msgs;
+  from.total_bytes += size;
+  ChannelState& channel = ChannelFor(from, dst);
   ++channel.msgs;
   channel.bytes += size;
   // External-only routing (real-socket backends): every non-self message leaves
@@ -108,7 +121,7 @@ size_t Network::SendReturningSize(const std::string& src, const std::string& dst
     if (external_sender_) {
       external_sender_(dst, bytes);
     } else {
-      ++shard.dropped_msgs;
+      ++from.dropped_msgs;
     }
     return size;
   }
@@ -116,11 +129,11 @@ size_t Network::SendReturningSize(const std::string& src, const std::string& dst
   // fault spec. Every draw comes from the link's stream, in a fixed per-message
   // order, so the sequence depends only on this link's send history.
   if (config_.loss_rate > 0 && channel.rng.NextDouble() < config_.loss_rate) {
-    ++shard.dropped_msgs;
+    ++from.dropped_msgs;
     return size;
   }
   if (!partitioned_.empty() && IsPartitioned(src, dst)) {
-    ++shard.dropped_msgs;
+    ++from.dropped_msgs;
     return size;
   }
   const LinkFault* fault = nullptr;
@@ -131,20 +144,20 @@ size_t Network::SendReturningSize(const std::string& src, const std::string& dst
     }
   }
   if (fault != nullptr && fault->loss > 0 && channel.rng.NextDouble() < fault->loss) {
-    ++shard.dropped_msgs;
+    ++from.dropped_msgs;
     return size;
   }
-  Node* dst_node = GetNode(dst);
-  if (dst_node == nullptr) {
+  NodeSlot* to = FindSlot(dst);
+  if (to == nullptr) {
     if (external_sender_) {
       external_sender_(dst, bytes);
     } else {
-      ++shard.dropped_msgs;
+      ++from.dropped_msgs;
     }
     return size;
   }
   double deliver_at =
-      shard.sched.Now() + config_.latency + config_.jitter * channel.rng.NextDouble();
+      from.node->Now() + config_.latency + config_.jitter * channel.rng.NextDouble();
   if (fault != nullptr) {
     deliver_at += fault->extra_latency;
   }
@@ -152,7 +165,7 @@ size_t Network::SendReturningSize(const std::string& src, const std::string& dst
       channel.rng.NextDouble() < fault->reorder_rate) {
     // Reordered: an extra random delay, no FIFO clamp, and `last_delivery` is left
     // alone — this message can overtake earlier ones and later ones can overtake it.
-    ++shard.reordered_msgs;
+    ++from.reordered_msgs;
     deliver_at += (config_.latency + config_.jitter) * channel.rng.NextDouble();
   } else {
     if (deliver_at <= channel.last_delivery) {
@@ -162,46 +175,43 @@ size_t Network::SendReturningSize(const std::string& src, const std::string& dst
   }
   ++channel.delivered_msgs;
   channel.delivered_bytes += size;
-  bool duplicate = false;
-  double dup_at = 0;
   if (fault != nullptr && fault->dup_rate > 0 &&
       channel.rng.NextDouble() < fault->dup_rate) {
     // Duplicate: a second copy trails the original by a random fraction of a hop.
-    duplicate = true;
-    ++shard.duplicated_msgs;
+    ++from.duplicated_msgs;
     ++channel.delivered_msgs;
     channel.delivered_bytes += size;
-    dup_at = deliver_at + (config_.latency + config_.jitter) * channel.rng.NextDouble() +
-             1e-9;
+    double dup_at = deliver_at +
+                    (config_.latency + config_.jitter) * channel.rng.NextDouble() + 1e-9;
+    Deliver(from, *to, dup_at, bytes);
   }
-  int dst_shard = dst_node->shard_index();
-  if (src_node != nullptr && dst_shard != src_node->shard_index()) {
-    // Cross-shard: park in the outbox until the window barrier. Every deliver_at is
-    // >= send time + latency >= the current window's end, so the destination heap
-    // never receives an event in its past.
-    ++shard.sent_cross_shard;
-    shard.outbox[dst_shard].push_back(CrossShardMsg{deliver_at, dst_node, bytes});
-    if (duplicate) {
-      ++shard.sent_cross_shard;
-      shard.outbox[dst_shard].push_back(
-          CrossShardMsg{dup_at, dst_node, std::move(bytes)});
-    }
-    return size;
-  }
-  if (duplicate) {
-    shard.sched.At(dup_at, [dst_node, bytes] { dst_node->ReceiveBytes(bytes); });
-  }
-  shard.sched.At(deliver_at,
-                 [dst_node, bytes = std::move(bytes)] { dst_node->ReceiveBytes(bytes); });
+  Deliver(from, *to, deliver_at, std::move(bytes));
   return size;
 }
 
+void Network::Deliver(NodeSlot& from, NodeSlot& to, double deliver_at,
+                      std::string bytes) {
+  if (shared_sched_ == nullptr) {
+    // Parallel: park until the window barrier. Every deliver_at is >= send time +
+    // latency >= the current window's end, so the destination heap never receives
+    // an event in its past.
+    ++from.parked;
+    ++from.runner->parked;
+    from.runner->outbox.push_back(ParkedMsg{to.add_index, deliver_at, from.add_index,
+                                            from.send_seq++, std::move(bytes)});
+    return;
+  }
+  Node* node = to.node.get();
+  shared_sched_->At(deliver_at,
+                    [node, bytes = std::move(bytes)] { node->ReceiveBytes(bytes); });
+}
+
 void Network::RunUntil(double t) {
-  if (shards_.size() == 1) {
+  if (shared_sched_ != nullptr) {
     uint64_t start = MonotonicNs();
-    shards_[0]->sched.RunUntil(t);
+    shared_sched_->RunUntil(t);
     uint64_t elapsed = MonotonicNs() - start;
-    shards_[0]->busy_ns += elapsed;
+    workers_[0]->busy_ns += elapsed;
     critical_path_ns_ += elapsed;
     return;
   }
@@ -209,7 +219,10 @@ void Network::RunUntil(double t) {
 }
 
 void Network::RunUntilParallel(double t) {
-  EnsureWorkers();
+  EnsureThreads();
+  // Sends made host-side since the last run (NodeHandle::Call, injections routed
+  // between runs) enter their heaps before the first window picks its end.
+  ExchangeWindow();
   session_active_.store(true, std::memory_order_release);
   {
     // Empty critical section: pairs with the wait in WorkerLoop so the notify
@@ -218,72 +231,92 @@ void Network::RunUntilParallel(double t) {
   }
   pool_cv_.notify_all();
   const double lookahead = config_.latency;
-  double now = shards_[0]->sched.Now();
-  while (now < t) {
+  while (now_ < t) {
     // Window end: at least one lookahead ahead, fast-forwarded to the globally
-    // earliest pending event when everyone is idle beyond that, capped at t.
+    // earliest pending event when every node is idle beyond that, capped at t.
     double earliest = std::numeric_limits<double>::infinity();
-    for (auto& shard : shards_) {
-      earliest = std::min(earliest, shard->sched.NextEventTime());
+    for (const NodeSlot* slot : slots_) {
+      earliest = std::min(earliest, slot->sched->NextEventTime());
     }
-    double wend = std::min(t, std::max(now + lookahead, earliest));
+    double wend = std::min(t, std::max(now_ + lookahead, earliest));
     window_end_ = wend;
+    next_claim_.store(0, std::memory_order_relaxed);
     window_done_.store(0, std::memory_order_relaxed);
     window_epoch_.fetch_add(1, std::memory_order_acq_rel);
-    RunShardWindow(0);
+    RunClaims(*workers_[0]);
     int spins = 0;
-    while (window_done_.load(std::memory_order_acquire) != shards_.size() - 1) {
+    while (window_done_.load(std::memory_order_acquire) != workers_.size() - 1) {
       SpinWait(&spins);
     }
     ++windows_;
     uint64_t max_busy = 0;
-    for (const auto& shard : shards_) {
-      max_busy = std::max(max_busy, shard->window_busy_ns);
+    for (const auto& worker : workers_) {
+      max_busy = std::max(max_busy, worker->window_busy_ns);
     }
     critical_path_ns_ += max_busy;
     ExchangeWindow();
-    now = wend;
+    now_ = wend;
   }
   session_active_.store(false, std::memory_order_release);
 }
 
-void Network::RunShardWindow(size_t index) {
-  Shard& shard = *shards_[index];
+void Network::RunClaims(Worker& worker) {
+  // Every node is run each window (an idle one only advances its clock), claimed
+  // one at a time in add order by whichever thread asks next. A node's events
+  // inside the window touch only its own slot, so any thread may run it; the
+  // epoch handshake orders one window's writes before the next window's reads.
   uint64_t start = MonotonicNs();
-  shard.sched.RunUntil(window_end_);
-  uint64_t elapsed = MonotonicNs() - start;
-  shard.busy_ns += elapsed;
-  shard.window_busy_ns = elapsed;
+  uint64_t clock = start;
+  while (true) {
+    size_t index = next_claim_.fetch_add(1, std::memory_order_relaxed);
+    if (index >= slots_.size()) {
+      break;
+    }
+    NodeSlot& slot = *slots_[index];
+    slot.runner = &worker;
+    uint64_t executed = slot.sched->ExecutedCount();
+    slot.sched->RunUntil(window_end_);
+    worker.events += slot.sched->ExecutedCount() - executed;
+    uint64_t end = MonotonicNs();
+    slot.busy_ns += end - clock;
+    clock = end;
+  }
+  worker.window_busy_ns = clock - start;
+  worker.busy_ns += worker.window_busy_ns;
 }
 
 void Network::ExchangeWindow() {
-  // Coordinator-only, while the workers spin at the barrier: merge each destination
-  // shard's incoming batches (source shards visited in index order, entries already
-  // in send order) and insert them in delivery-time order, so heap sequence numbers
-  // — the equal-time tie-break — match the single-shard insertion order.
-  std::vector<CrossShardMsg> incoming;
-  for (size_t dst = 0; dst < shards_.size(); ++dst) {
-    incoming.clear();
-    for (auto& src : shards_) {
-      auto& batch = src->outbox[dst];
-      incoming.insert(incoming.end(), std::make_move_iterator(batch.begin()),
-                      std::make_move_iterator(batch.end()));
-      batch.clear();
-    }
-    if (incoming.empty()) {
-      continue;
-    }
-    std::stable_sort(incoming.begin(), incoming.end(),
-                     [](const CrossShardMsg& a, const CrossShardMsg& b) {
-                       return a.deliver_at < b.deliver_at;
-                     });
-    Scheduler& sched = shards_[dst]->sched;
-    for (CrossShardMsg& msg : incoming) {
-      Node* node = msg.dst;
-      sched.At(msg.deliver_at,
-               [node, bytes = std::move(msg.bytes)] { node->ReceiveBytes(bytes); });
-    }
+  // Coordinator-only, while the pool threads spin at the barrier: gather every
+  // thread's parked sends into the coordinator's outbox and insert them in the
+  // canonical order — per destination by delivery time, then source add order,
+  // then source send order — so heap sequence numbers (the equal-time tie-break)
+  // never depend on K or on which thread ran which node.
+  std::vector<ParkedMsg>& parked = workers_[0]->outbox;
+  for (size_t i = 1; i < workers_.size(); ++i) {
+    std::vector<ParkedMsg>& outbox = workers_[i]->outbox;
+    parked.insert(parked.end(), std::make_move_iterator(outbox.begin()),
+                  std::make_move_iterator(outbox.end()));
+    outbox.clear();
   }
+  std::sort(parked.begin(), parked.end(), [](const ParkedMsg& a, const ParkedMsg& b) {
+    if (a.dst != b.dst) {
+      return a.dst < b.dst;
+    }
+    if (a.deliver_at != b.deliver_at) {
+      return a.deliver_at < b.deliver_at;
+    }
+    if (a.src != b.src) {
+      return a.src < b.src;
+    }
+    return a.src_seq < b.src_seq;
+  });
+  for (ParkedMsg& msg : parked) {
+    NodeSlot& slot = *slots_[msg.dst];
+    Node* node = slot.node.get();
+    slot.sched->At(msg.deliver_at,
+                   [node, bytes = std::move(msg.bytes)] { node->ReceiveBytes(bytes); });
+  }
+  parked.clear();
   FlushMetricsBuffers();
 }
 
@@ -292,10 +325,10 @@ void Network::FlushMetricsBuffers() {
     return;
   }
   std::vector<MetricsSnapshot> all;
-  for (auto& shard : shards_) {
-    all.insert(all.end(), std::make_move_iterator(shard->metrics_buf.begin()),
-               std::make_move_iterator(shard->metrics_buf.end()));
-    shard->metrics_buf.clear();
+  for (auto& worker : workers_) {
+    all.insert(all.end(), std::make_move_iterator(worker->metrics_buf.begin()),
+               std::make_move_iterator(worker->metrics_buf.end()));
+    worker->metrics_buf.clear();
   }
   if (all.empty()) {
     return;
@@ -314,13 +347,13 @@ void Network::FlushMetricsBuffers() {
   }
 }
 
-void Network::EnsureWorkers() {
-  if (!workers_.empty() || shards_.size() <= 1) {
+void Network::EnsureThreads() {
+  if (!threads_.empty() || workers_.size() <= 1) {
     return;
   }
-  workers_.reserve(shards_.size() - 1);
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  threads_.reserve(workers_.size() - 1);
+  for (size_t i = 1; i < workers_.size(); ++i) {
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -347,26 +380,26 @@ void Network::WorkerLoop(size_t index) {
         continue;
       }
       seen_epoch = epoch;
-      RunShardWindow(index);
+      RunClaims(*workers_[index]);
       spins = 0;
       window_done_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 }
 
-uint64_t Network::SumShards(uint64_t Shard::* field) const {
+uint64_t Network::SumSlots(uint64_t NodeSlot::* field) const {
   uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += (*shard).*field;
+  for (const NodeSlot* slot : slots_) {
+    total += slot->*field;
   }
   return total;
 }
 
-uint64_t Network::total_msgs() const { return SumShards(&Shard::total_msgs); }
-uint64_t Network::total_bytes() const { return SumShards(&Shard::total_bytes); }
-uint64_t Network::dropped_msgs() const { return SumShards(&Shard::dropped_msgs); }
-uint64_t Network::duplicated_msgs() const { return SumShards(&Shard::duplicated_msgs); }
-uint64_t Network::reordered_msgs() const { return SumShards(&Shard::reordered_msgs); }
+uint64_t Network::total_msgs() const { return SumSlots(&NodeSlot::total_msgs); }
+uint64_t Network::total_bytes() const { return SumSlots(&NodeSlot::total_bytes); }
+uint64_t Network::dropped_msgs() const { return SumSlots(&NodeSlot::dropped_msgs); }
+uint64_t Network::duplicated_msgs() const { return SumSlots(&NodeSlot::duplicated_msgs); }
+uint64_t Network::reordered_msgs() const { return SumSlots(&NodeSlot::reordered_msgs); }
 
 void Network::SetLinkFault(const std::string& src, const std::string& dst,
                            LinkFault fault) {
@@ -388,58 +421,60 @@ void Network::Partition(const std::vector<std::string>& group_a,
 }
 
 std::vector<Network::ChannelTraffic> Network::ChannelsSnapshot() const {
-  // Each (src,dst) pair lives in exactly one shard (the source node's), so
-  // concatenating and sorting yields one row per channel.
+  // Each (src,dst) pair lives in exactly one slot (the source node's); walking the
+  // slots in address order and their channels in destination order yields the rows
+  // sorted by (src, dst).
   std::vector<ChannelTraffic> out;
-  for (const auto& shard : shards_) {
-    out.reserve(out.size() + shard->channels.size());
-    for (const auto& [key, state] : shard->channels) {
-      out.push_back({key.first, key.second, state.msgs, state.bytes,
-                     state.delivered_msgs, state.delivered_bytes});
+  for (const auto& [addr, slot] : nodes_) {
+    for (const auto& [dst, state] : slot->channels) {
+      out.push_back({addr, dst, state.msgs, state.bytes, state.delivered_msgs,
+                     state.delivered_bytes});
     }
   }
-  std::sort(out.begin(), out.end(), [](const ChannelTraffic& a, const ChannelTraffic& b) {
-    if (a.src != b.src) {
-      return a.src < b.src;
-    }
-    return a.dst < b.dst;
-  });
   return out;
 }
 
 std::vector<Network::ShardStats> Network::ShardStatsSnapshot() const {
+  uint64_t heap_hwm = 0;
+  if (shared_sched_ != nullptr) {
+    heap_hwm = shared_sched_->HeapHighWaterMark();
+  }
+  for (const NodeSlot* slot : slots_) {
+    if (slot->sched != nullptr) {
+      heap_hwm = std::max(heap_hwm, slot->sched->HeapHighWaterMark());
+    }
+  }
   std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = *shards_[i];
+  out.reserve(workers_.size());
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    const Worker& worker = *workers_[i];
     ShardStats stats;
     stats.index = static_cast<int>(i);
-    stats.nodes = shard.node_count;
-    stats.events = shard.sched.ExecutedCount();
-    stats.heap_hwm = shard.sched.HeapHighWaterMark();
-    stats.busy_ns = shard.busy_ns;
-    stats.sent_cross_shard = shard.sent_cross_shard;
+    stats.events =
+        shared_sched_ != nullptr ? shared_sched_->ExecutedCount() : worker.events;
+    stats.heap_hwm = heap_hwm;
+    stats.busy_ns = worker.busy_ns;
+    stats.sent_cross_shard = worker.parked;
     out.push_back(stats);
   }
   return out;
 }
 
 void Network::PublishShardGauges(Node* node) {
-  if (shards_.size() == 1) {
+  if (shared_sched_ != nullptr) {
     return;
   }
-  // Runs during the node's own sweep, on its shard's thread — which owns every
+  // Runs during the node's own sweep, on the thread running it — which owns every
   // value read here (windows_ is coordinator-written only at barriers, ordered by
   // the epoch handshake).
-  const Shard& shard = *shards_[node->shard_index()];
+  const NodeSlot& slot = *FindSlot(node->addr());
   MetricsRegistry& reg = node->metrics();
-  reg.GetGauge("shard")->Set(node->shard_index());
-  reg.GetGauge("shard_events")->Set(static_cast<int64_t>(shard.sched.ExecutedCount()));
+  reg.GetGauge("shard_events")->Set(static_cast<int64_t>(slot.sched->ExecutedCount()));
   reg.GetGauge("shard_heap_hwm")
-      ->Set(static_cast<int64_t>(shard.sched.HeapHighWaterMark()));
+      ->Set(static_cast<int64_t>(slot.sched->HeapHighWaterMark()));
   reg.GetGauge("shard_windows")->Set(static_cast<int64_t>(windows_));
-  reg.GetGauge("shard_xmsgs")->Set(static_cast<int64_t>(shard.sent_cross_shard));
-  reg.GetGauge("shard_busy_ms")->Set(static_cast<int64_t>(shard.busy_ns / 1000000));
+  reg.GetGauge("shard_xmsgs")->Set(static_cast<int64_t>(slot.parked));
+  reg.GetGauge("shard_busy_ms")->Set(static_cast<int64_t>(slot.busy_ns / 1000000));
 }
 
 void Network::WriteNodeMetrics(Node* node) {
@@ -447,17 +482,17 @@ void Network::WriteNodeMetrics(Node* node) {
     return;
   }
   MetricsSnapshot snap = SnapshotNodeMetrics(node);
-  if (shards_.size() == 1) {
+  if (shared_sched_ != nullptr) {
     metrics_sink_->Write(snap);
     return;
   }
-  shards_[node->shard_index()]->metrics_buf.push_back(std::move(snap));
+  FindSlot(node->addr())->runner->metrics_buf.push_back(std::move(snap));
 }
 
 uint64_t Network::SumStats(uint64_t NodeStats::* field) const {
   uint64_t total = 0;
-  for (const auto& [addr, node] : nodes_) {
-    total += node->stats().*field;
+  for (const NodeSlot* slot : slots_) {
+    total += slot->node->stats().*field;
   }
   return total;
 }
@@ -465,8 +500,8 @@ uint64_t Network::SumStats(uint64_t NodeStats::* field) const {
 std::vector<Node*> Network::AllNodes() {
   std::vector<Node*> out;
   out.reserve(nodes_.size());
-  for (auto& [addr, node] : nodes_) {
-    out.push_back(node.get());
+  for (auto& [addr, slot] : nodes_) {
+    out.push_back(slot->node.get());
   }
   return out;
 }

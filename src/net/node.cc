@@ -13,12 +13,10 @@ BusyTimer::BusyTimer(NodeStats* stats) : stats_(stats), start_ns_(MonotonicNs())
 
 BusyTimer::~BusyTimer() { stats_->busy_ns += MonotonicNs() - start_ns_; }
 
-Node::Node(std::string addr, Network* network, NodeOptions options, Scheduler* sched,
-           int shard_index)
+Node::Node(std::string addr, Network* network, NodeOptions options, Scheduler* sched)
     : addr_(std::move(addr)),
       network_(network),
-      sched_(sched != nullptr ? sched : &network->scheduler()),
-      shard_index_(shard_index),
+      sched_(sched),
       options_(options),
       rng_(options.seed) {
   // Arena recycling is process-global (the free lists are thread-local, not
@@ -359,7 +357,15 @@ void Node::Crash() {
   up_ = false;
   // Queued-but-unprocessed work dies with the node (fail-stop). Table state, loaded
   // programs, and reliable channel bookkeeping survive — this is a process pause,
-  // not disk loss.
+  // not disk loss. A dropped aggregate re-evaluation leaves its rule dirty, which
+  // would block every later request, so remember it for Revive.
+  for (const std::deque<Pending>* q : {&queue_, &low_queue_}) {
+    for (const Pending& p : *q) {
+      if (p.kind == Pending::Kind::kAggReeval) {
+        crash_dropped_aggs_.push_back(p.agg_id);
+      }
+    }
+  }
   queue_.clear();
   low_queue_.clear();
   be_in_queue_ = 0;
@@ -388,6 +394,16 @@ void Node::Revive() {
     entry->armed = true;
     SchedulePeriodic(strand, entry->period);
   }
+  // Queue again the aggregate re-evaluations the crash dropped (skipping rules
+  // unloaded since), in the order they were queued.
+  for (uint64_t agg_id : crash_dropped_aggs_) {
+    auto it = agg_by_id_.find(agg_id);
+    if (it != agg_by_id_.end()) {
+      it->second->dirty = false;
+      MarkAggDirty(it->second);
+    }
+  }
+  crash_dropped_aggs_.clear();
 }
 
 void Node::Recover() {

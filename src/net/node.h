@@ -177,11 +177,11 @@ class Scheduler;
 
 class Node {
  public:
-  // `sched` is the scheduler of the shard that owns this node (nullptr = the
-  // network's shard 0) — nodes are created through Network::AddNode, which wires
-  // both. All of the node's timers, injections, and local hand-offs run there.
-  Node(std::string addr, Network* network, NodeOptions options,
-       Scheduler* sched = nullptr, int shard_index = 0);
+  // `sched` is the event heap this node's events run on: the network's shared
+  // scheduler, or the node's own heap under the parallel runtime. Nodes are created
+  // through Network::AddNode, which wires both. All of the node's timers,
+  // injections, and local hand-offs run there.
+  Node(std::string addr, Network* network, NodeOptions options, Scheduler* sched);
   ~Node();
 
   Node(const Node&) = delete;
@@ -200,12 +200,11 @@ class Node {
   ForensicsStore* forensics() { return forensics_.get(); }
   Rng& rng() { return rng_; }
   Network& network() { return *network_; }
-  // The owning shard's scheduler: the only scheduler this node's events may run on.
-  // Host code targeting a specific node (timed injections, crash schedules) must use
-  // this, not Network::scheduler(), or the event lands on the wrong shard's thread
-  // under parallel execution.
+  // This node's event heap: the only scheduler its events may run on. Host code
+  // targeting a specific node (timed injections, crash schedules) must use this,
+  // not Network::scheduler(), which exists only while the network is
+  // single-threaded.
   Scheduler& own_scheduler() { return *sched_; }
-  int shard_index() const { return shard_index_; }
 
   // Current virtual time.
   double Now() const;
@@ -237,10 +236,14 @@ class Node {
 
   // Fault injection: a crashed node stops processing — incoming messages are dropped,
   // queued-but-unprocessed work is lost, and its timer chains die at their next tick —
-  // but its table state survives (fail-stop, not disk loss).
+  // but its table state survives (fail-stop, not disk loss). Lost work includes any
+  // continuous aggregate's queued re-evaluation; the crash remembers which.
   void Crash();
   // Revive restarts processing and re-arms the sweep and periodic timer chains that
-  // died during the outage; soft state that aged out while down expires lazily.
+  // died during the outage; soft state that aged out while down expires lazily. It
+  // also queues again every aggregate re-evaluation the crash dropped (they run with
+  // the node's next drain), so each aggregate again matches its body tables and
+  // later changes queue it as usual.
   void Revive();
   // Recover is the full crash-recovery lifecycle: Revive plus a reliable-transport
   // restart — every outgoing channel abandons its pending retransmissions and starts
@@ -468,7 +471,6 @@ class Node {
   std::string addr_;
   Network* network_;
   Scheduler* sched_;
-  int shard_index_;
   NodeOptions options_;
   NodeStats stats_;
   MetricsRegistry metrics_;
@@ -509,6 +511,9 @@ class Node {
   // Deferred low-priority work (strand triggers and aggregate re-evaluations):
   // drained only when queue_ is empty.
   std::deque<Pending> low_queue_;
+  // Aggregates whose queued re-evaluation a crash dropped, in queue order; their
+  // `dirty` flag stays set until Revive queues them again.
+  std::vector<uint64_t> crash_dropped_aggs_;
   // Reused scratch buffer for batched delta runs (see Drain / ProcessDeliveryRun).
   std::vector<Pending> run_buf_;
   std::unordered_set<Strand*> low_priority_strands_;

@@ -2,78 +2,40 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace p2 {
 
-uint64_t Scheduler::At(double time, Task fn) {
-  uint64_t id = next_id_++;
-  heap_.push(Event{std::max(time, now_), next_seq_++, id});
-  tasks_.emplace(id, std::move(fn));
+void Scheduler::At(double time, Task fn) {
+  heap_.push_back(Event{std::max(time, now_), next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   if (heap_.size() > heap_hwm_) {
     heap_hwm_ = heap_.size();
   }
-  return id;
 }
 
-uint64_t Scheduler::After(double delay, Task fn) { return At(now_ + delay, std::move(fn)); }
-
-void Scheduler::Cancel(uint64_t id) {
-  if (tasks_.count(id) > 0) {
-    cancelled_.insert(id);
-  }
-}
+void Scheduler::After(double delay, Task fn) { At(now_ + delay, std::move(fn)); }
 
 bool Scheduler::Step() {
-  while (!heap_.empty()) {
-    Event ev = heap_.top();
-    heap_.pop();
-    auto cancelled_it = cancelled_.find(ev.id);
-    if (cancelled_it != cancelled_.end()) {
-      cancelled_.erase(cancelled_it);
-      tasks_.erase(ev.id);
-      continue;
-    }
-    auto it = tasks_.find(ev.id);
-    if (it == tasks_.end()) {
-      continue;
-    }
-    Task fn = std::move(it->second);
-    tasks_.erase(it);
-    now_ = ev.time;
-    ++executed_;
-    fn();
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  // Move the event out before running it: the task may schedule more events.
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  now_ = ev.time;
+  ++executed_;
+  ev.fn();
+  return true;
 }
 
-double Scheduler::NextEventTime() {
-  while (!heap_.empty()) {
-    const Event& ev = heap_.top();
-    auto it = cancelled_.find(ev.id);
-    if (it == cancelled_.end()) {
-      return ev.time;
-    }
-    cancelled_.erase(it);
-    tasks_.erase(ev.id);
-    heap_.pop();
-  }
-  return std::numeric_limits<double>::infinity();
+double Scheduler::NextEventTime() const {
+  return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.front().time;
 }
 
 void Scheduler::RunUntil(double t) {
-  while (!heap_.empty()) {
-    // Skip cancelled events at the head without advancing time.
-    Event ev = heap_.top();
-    if (cancelled_.count(ev.id) > 0) {
-      heap_.pop();
-      cancelled_.erase(ev.id);
-      tasks_.erase(ev.id);
-      continue;
-    }
-    if (ev.time > t) {
-      break;
-    }
+  while (!heap_.empty() && heap_.front().time <= t) {
     Step();
   }
   now_ = std::max(now_, t);

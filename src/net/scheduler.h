@@ -1,19 +1,17 @@
 // Discrete-event scheduler: the virtual clock that drives the whole simulation.
 //
 // Substitution note (see DESIGN.md): the paper runs 21 OS processes over UDP and
-// measures wall-clock CPU utilization. Here every node shares one deterministic
-// event-driven clock; timers and message deliveries are events. Wall-clock time spent
-// *processing* events is accounted separately per node (NodeStats::busy_ns) and plays
-// the role of CPU utilization in the benchmarks.
+// measures wall-clock CPU utilization. Here every node's timers and message
+// deliveries are events on a deterministic event-driven clock (one heap shared by
+// every node, or one heap per node under the parallel runtime — network.h).
+// Wall-clock time spent *processing* events is accounted separately per node
+// (NodeStats::busy_ns) and plays the role of CPU utilization in the benchmarks.
 
 #ifndef SRC_NET_SCHEDULER_H_
 #define SRC_NET_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace p2 {
@@ -29,15 +27,12 @@ class Scheduler {
   // Current virtual time in seconds.
   double Now() const { return now_; }
 
-  // Schedules `fn` at absolute virtual time `time` (clamped to now). Returns an id
-  // usable with Cancel. Events at equal times run in schedule order.
-  uint64_t At(double time, Task fn);
+  // Schedules `fn` at absolute virtual time `time` (clamped to now). Events at
+  // equal times run in schedule order.
+  void At(double time, Task fn);
 
   // Schedules `fn` after `delay` seconds.
-  uint64_t After(double delay, Task fn);
-
-  // Cancels a scheduled event. Safe to call with an already-run id.
-  void Cancel(uint64_t id);
+  void After(double delay, Task fn);
 
   // Runs the next event, advancing the clock. Returns false if none are pending.
   bool Step();
@@ -46,12 +41,12 @@ class Scheduler {
   void RunUntil(double t);
 
   // Number of pending events.
-  size_t PendingCount() const { return heap_.size() - cancelled_.size(); }
+  size_t PendingCount() const { return heap_.size(); }
 
-  // Virtual time of the earliest pending (non-cancelled) event, or +infinity if none.
-  // Used by real-time drivers to size their poll timeouts, and by the sharded fleet
+  // Virtual time of the earliest pending event, or +infinity if none. Used by the
+  // real-socket event loop to size its poll timeouts, and by the parallel fleet
   // runtime to fast-forward across globally idle stretches.
-  double NextEventTime();
+  double NextEventTime() const;
 
   // Events executed so far (Step calls that ran a task).
   uint64_t ExecutedCount() const { return executed_; }
@@ -60,27 +55,26 @@ class Scheduler {
   uint64_t HeapHighWaterMark() const { return heap_hwm_; }
 
  private:
+  // A pending event carries its own task: the heap is the only index.
   struct Event {
     double time;
     uint64_t seq;  // tie-break: schedule order
-    uint64_t id;
-    // Heap comparator: earliest time first, then lowest seq.
-    bool operator>(const Event& other) const {
-      if (time != other.time) {
-        return time > other.time;
-      }
-      return seq > other.seq;
-    }
+    Task fn;
   };
+  // Heap order (std::push_heap keeps the greatest element first): earliest time
+  // first, then lowest seq.
+  static bool Later(const Event& a, const Event& b) {
+    if (a.time != b.time) {
+      return a.time > b.time;
+    }
+    return a.seq > b.seq;
+  }
 
   double now_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
   uint64_t executed_ = 0;
   uint64_t heap_hwm_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
-  std::unordered_map<uint64_t, Task> tasks_;
-  std::unordered_set<uint64_t> cancelled_;
+  std::vector<Event> heap_;
 };
 
 }  // namespace p2

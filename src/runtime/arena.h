@@ -15,10 +15,12 @@
 //    holds the TupleRef / ValueList that lives in it. Refcounted sharing across
 //    tables, queues, and trace stores works exactly as before — a recycled block
 //    is only ever one whose last reference was dropped.
-//  * Free lists are per-thread. In the sharded fleet runtime each worker shard
-//    owns its nodes outright, so a shard's churn recycles within the shard; a
-//    block freed on a different thread (e.g. host-side digesting) simply joins
-//    that thread's cache. Caches release to the heap on thread exit.
+//  * Free lists are per-thread. In the parallel fleet runtime nodes are not
+//    pinned to threads — each window's threads claim whichever node is next — so
+//    a block is often freed on a different thread than the one that allocated
+//    it; it then simply joins the freeing thread's cache, as a block freed
+//    host-side (e.g. while digesting) does. Caches release to the heap on thread
+//    exit.
 //  * SetEnabled is process-global and only gates recycling. Blocks allocated
 //    while enabled are freed correctly after disabling and vice versa, because
 //    class rounding is applied identically in both states.

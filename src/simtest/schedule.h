@@ -62,7 +62,7 @@ struct FuzzProfile {
   double latency = 0.02;
   double jitter = 0.01;
   double loss = 0;  // global message loss for the whole run
-  int shards = 1;   // worker shards for the fleet runtime (scenario `net shards=N`);
+  int shards = 1;   // threads for the fleet runtime (scenario `net shards=N`);
                     // any value must reproduce the shards=1 digests bit-exactly
   // Monitor configuration (ring checks + snapshots on every node).
   double snap_period = 10;

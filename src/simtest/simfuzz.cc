@@ -108,9 +108,9 @@ RunResult RunScenarioText(const std::string& scenario, const Schedule* meta,
   result.scenario = scenario;
   // Swallow interpreter output (dump/stats are not part of the harness contract).
   ScenarioRunner runner([](const std::string&) {});
-  // One buffer per destination node: a node's tap fires on its owning shard's
-  // thread, so a shared vector would race on sharded fleets. The map itself is
-  // only mutated host-side between script lines (shards quiescent), and map nodes
+  // One buffer per destination node: a node's tap fires on whichever thread runs
+  // that node, so a shared vector would race on parallel fleets. The map itself is
+  // only mutated host-side between script lines (threads quiescent), and map nodes
   // are address-stable, so each tap can hold a reference to its own buffer.
   std::map<std::string, std::vector<ChannelDelivery>> deliveries_by_dst;
   std::set<std::string> tapped;

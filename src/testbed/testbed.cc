@@ -20,7 +20,7 @@ ChordTestbed::ChordTestbed(TestbedConfig config)
     chord.landmark = i == 0 ? std::string() : AddrOf(0);
     chord.node_id = 0;  // derived from the node's own seeded RNG
     // Stagger joins so the ring grows incrementally, as in a real deployment;
-    // posted onto each node's own shard.
+    // posted onto each node's own scheduler.
     double start = i * config_.join_stagger;
     handle.Post(start, [chord](Node& node) {
       std::string error;

@@ -806,7 +806,7 @@ bool ScenarioRunner::RunLine(const std::string& raw, std::string* error) {
       if (!have_at) {
         node.Inject(tuple);
       } else {
-        // Posted onto the node's own shard, so timed injections stay correct
+        // Posted onto the node's own scheduler, so timed injections stay correct
         // under the parallel runtime.
         node.InjectAt(at, tuple);
       }
@@ -873,7 +873,7 @@ bool ScenarioRunner::RunLine(const std::string& raw, std::string* error) {
       }
     }
     for (NodeHandle& node : nodes) {
-      // The *At variants post onto each node's own shard.
+      // The *At variants post onto each node's own scheduler.
       if (cmd == "crash") {
         at < 0 ? node.Crash() : node.CrashAt(at);
       } else if (cmd == "revive") {

@@ -4,7 +4,7 @@
 //   simfuzz --seed N [--iters K]          run K schedules from seeds N, N+1, ...
 //           [--profile faulty|quiet]      fault intensity (default faulty)
 //           [--nodes N]                   fleet size override
-//           [--shards K]                  run fleets on K worker shards (digests
+//           [--shards K]                  run fleets on K threads (digests
 //                                         must match K=1 bit-exactly)
 //           [--shrink]                    on failure, greedily minimize the schedule
 //           [--scenario-out PATH]         where to write the (shrunk) failing scenario

@@ -516,6 +516,49 @@ TEST_F(EngineTest, CrashedNodeStopsProcessing) {
   EXPECT_GT(ticks, ticks_before);  // timers resumed
 }
 
+// A crash drops the node's queued work, including a continuous aggregate's pending
+// re-evaluation. Revive must queue it again: otherwise the rule's dirty flag stays
+// set, every later change is coalesced into a re-evaluation that never runs, and the
+// aggregate freezes.
+TEST_F(EngineTest, ReviveRequeuesAggregateReevaluationsTheCrashDropped) {
+  struct Outcome {
+    std::string row;
+    uint64_t reevals = 0;
+  };
+  auto run = [](bool crash) {
+    Network net(MakeConfig());
+    NodeOptions opts;
+    opts.introspection = false;
+    Node* n = net.AddNode("n1", opts);
+    std::string error;
+    EXPECT_TRUE(n->LoadProgram("materialize(s, infinity, 100, keys(1,2)).\n"
+                               "materialize(cnt, infinity, 10, keys(1)).\n"
+                               "m1 cnt@N(count<*>) :- s@N(X).",
+                               &error))
+        << error;
+    if (crash) {
+      // Before the install-time re-evaluation has drained.
+      n->Crash();
+      n->Revive();
+    }
+    for (int i = 1; i <= 3; ++i) {
+      n->InjectEvent(Tuple::Make("s", {Value::Str("n1"), Value::Int(i)}));
+    }
+    net.RunFor(5.0);
+    Outcome out;
+    for (const TupleRef& t : n->TableContents("cnt")) {
+      out.row += t->ToString();
+    }
+    out.reevals = n->stats().agg_reevals;
+    return out;
+  };
+  Outcome twin = run(false);
+  Outcome crashed = run(true);
+  EXPECT_EQ(twin.row, "cnt(n1, 3)");
+  EXPECT_EQ(crashed.row, twin.row);
+  EXPECT_GT(crashed.reevals, 0u);
+}
+
 TEST_F(EngineTest, RemoteDeleteRequests) {
   Node* a = AddNode("a");
   Node* b = AddNode("b");

@@ -1,13 +1,16 @@
 // p2::Fleet facade tests (src/net/fleet.h): the embedding surface every host
 // program uses. Covers handle operations, posted (timed) operations, the layered
-// FleetConfig seed derivation, and the shard plumbing the facade exposes.
+// FleetConfig seed derivation, and the parallel runtime behind the facade.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/net/fleet.h"
+#include "tests/digest_diff.h"
 
 namespace p2 {
 namespace {
@@ -119,26 +122,79 @@ TEST(FleetTest, ShardsClampToOneWithoutLookahead) {
   EXPECT_EQ(fleet.network().shard_count(), 1);
 }
 
-TEST(FleetTest, NodesAreAssignedRoundRobinAcrossShards) {
+// Every node gossips a fresh random id to its peers each second; a node's peers
+// may not exist yet, so its early sends are dropped.
+constexpr char kGossip[] =
+    "materialize(peer, infinity, 16, keys(1, 2)).\n"
+    "materialize(heard, infinity, 4096, keys(1, 2, 3)).\n"
+    "g1 hello@P(NAddr, E) :- periodic@NAddr(E, 1), peer@NAddr(P).\n"
+    "g2 heard@NAddr(From, E) :- hello@NAddr(From, E).\n";
+
+// Runs a gossip fleet on `shards` threads: `first` nodes for 3 s, then `later` more
+// nodes added between runs, then 4 s more. Returns every node's clock and `heard`
+// rows plus the message counters.
+std::string GossipFleetDigest(int shards, int first, int later) {
   FleetConfig cfg;
-  cfg.shards = 2;
+  cfg.seed = 11;
+  cfg.shards = shards;
   Fleet fleet(cfg);
-  EXPECT_EQ(fleet.network().shard_count(), 2);
-  EXPECT_EQ(fleet.AddNode("a").shard(), 0);
-  EXPECT_EQ(fleet.AddNode("b").shard(), 1);
-  EXPECT_EQ(fleet.AddNode("c").shard(), 0);
-  std::vector<Network::ShardStats> stats = fleet.ShardStatsSnapshot();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].nodes, 2);
-  EXPECT_EQ(stats[1].nodes, 1);
+  const int total = first + later;
+  auto add = [&](int i) {
+    NodeHandle h = fleet.AddNode("g" + std::to_string(i));
+    std::string error;
+    EXPECT_TRUE(h.Load(kGossip, &error)) << error;
+    for (int peer : {(i + 1) % total, (i + 2) % total}) {
+      h.Inject(Tuple::Make("peer", {Value::Str(h.addr()),
+                                    Value::Str("g" + std::to_string(peer))}));
+    }
+  };
+  for (int i = 0; i < first; ++i) {
+    add(i);
+  }
+  fleet.RunFor(3.0);
+  for (int i = first; i < total; ++i) {
+    add(i);
+  }
+  fleet.RunFor(4.0);
+  std::string out;
+  for (NodeHandle h : fleet.Handles()) {
+    out += StrFormat("%s now=%.9f\n", h.addr().c_str(), h.Now());
+    std::vector<std::string> rows;
+    for (const TupleRef& t : h.Query("heard")) {
+      rows.push_back(t->ToString());
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const std::string& row : rows) {
+      out += row + "\n";
+    }
+  }
+  return out + StrFormat("msgs=%llu dropped=%llu\n",
+                         static_cast<unsigned long long>(fleet.total_msgs()),
+                         static_cast<unsigned long long>(fleet.dropped_msgs()));
+}
+
+// Parallel execution is a strategy, not a semantics: a node added between runs
+// joins at the fleet's current instant, and threads that find no node left to
+// claim simply wait for the barrier.
+TEST(FleetTest, ParallelFleetsMatchTheirSingleThreadTwins) {
+  std::string grown = GossipFleetDigest(1, 3, 5);
+  EXPECT_NE(grown.find("heard(g3, g1, "), std::string::npos)
+      << "a node added between runs must hear its peers";
+  std::string grown_k4 = GossipFleetDigest(4, 3, 5);
+  EXPECT_TRUE(grown_k4 == grown) << FirstDiffLine(grown, grown_k4);
+
+  std::string small = GossipFleetDigest(1, 2, 0);  // fewer nodes than threads
+  EXPECT_NE(small.find("heard(g0, g1, "), std::string::npos);
+  std::string small_k4 = GossipFleetDigest(4, 2, 0);
+  EXPECT_TRUE(small_k4 == small) << FirstDiffLine(small, small_k4);
 }
 
 TEST(FleetTest, CrossShardDeliveryWorksThroughTheFacade) {
   FleetConfig cfg;
   cfg.shards = 2;
   Fleet fleet(cfg);
-  NodeHandle a = fleet.AddNode("a");  // shard 0
-  NodeHandle b = fleet.AddNode("b");  // shard 1
+  NodeHandle a = fleet.AddNode("a");
+  NodeHandle b = fleet.AddNode("b");
   std::string error;
   ASSERT_TRUE(a.Load(kRelay, &error)) << error;
   ASSERT_TRUE(b.Load(kRelay, &error)) << error;

@@ -50,16 +50,6 @@ TEST(SchedulerTest, AfterSchedulesRelative) {
   EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
-TEST(SchedulerTest, CancelPreventsExecution) {
-  Scheduler sched;
-  int ran = 0;
-  uint64_t id = sched.At(1.0, [&] { ++ran; });
-  sched.At(2.0, [&] { ++ran; });
-  sched.Cancel(id);
-  sched.RunUntil(5.0);
-  EXPECT_EQ(ran, 1);
-}
-
 TEST(SchedulerTest, PastTimesClampToNow) {
   Scheduler sched;
   sched.At(5.0, [] {});

@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "src/simtest/simfuzz.h"
+#include "tests/digest_diff.h"
 
 namespace p2 {
 namespace simtest {
@@ -37,8 +38,9 @@ TEST(SimFuzzTest, SameSeedIsBitReproducible) {
   RunResult r2 = RunSchedule(s2);
   EXPECT_EQ(r1.failed(), r2.failed());
   EXPECT_EQ(r1.total_msgs, r2.total_msgs);
-  EXPECT_EQ(r1.full_digest, r2.full_digest)
-      << "same seed must reproduce every table bit-exactly";
+  EXPECT_TRUE(r1.full_digest == r2.full_digest)
+      << "same seed must reproduce every table bit-exactly; diverged at "
+      << FirstDiffLine(r1.full_digest, r2.full_digest);
 }
 
 TEST(SimFuzzTest, QuietProfilePassesAllOracles) {
