@@ -8,18 +8,6 @@ namespace p2 {
 
 namespace {
 
-// True if every variable mentioned by `expr` is bound.
-bool VarsBound(const Expr& expr, const Bindings& binds) {
-  std::vector<std::string> vars;
-  expr.CollectVars(&vars);
-  for (const std::string& v : vars) {
-    if (!binds.Has(v)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Evaluates the probe key for an indexed lookup op: one value per probe position,
 // in EnsureIndex order (the planner guarantees these expressions are bound and
 // non-volatile here).
@@ -44,7 +32,7 @@ bool MatchesExistentially(const Predicate& pred, const Tuple& tuple,
   for (size_t i = 0; i < pred.args.size(); ++i) {
     const Expr& arg = *pred.args[i];
     if (arg.kind == Expr::Kind::kVar) {
-      const Value* bound = binds.Find(arg.name);
+      const Value* bound = binds.Find(arg.slot);
       if (bound == nullptr) {
         continue;  // wildcard
       }
@@ -68,9 +56,9 @@ bool MatchPredicate(const Predicate& pred, const Tuple& tuple, Bindings* binds,
   for (size_t i = 0; i < pred.args.size(); ++i) {
     const Expr& arg = *pred.args[i];
     if (arg.kind == Expr::Kind::kVar) {
-      const Value* bound = binds->Find(arg.name);
+      const Value* bound = binds->Find(arg.slot);
       if (bound == nullptr) {
-        binds->Set(arg.name, tuple.field(i));
+        binds->Set(arg.slot, tuple.field(i));
         continue;
       }
       if (!(*bound == tuple.field(i))) {
@@ -112,16 +100,17 @@ void Strand::Trigger(const TupleRef& event) {
   // One context for the whole synchronous execution: virtual time cannot advance
   // mid-strand, so every branch of the join tree sees the same `now` it always did.
   EvalContext ctx{node_->Now(), &node_->rng(), &node_->addr()};
-  Bindings binds;
+  Bindings binds(rule_->num_slots);
   if (!MatchPredicate(*trigger_, *event, &binds, ctx)) {
     return;
   }
   node_->tracer().OnInput(trace_target_, event, ctx.now);
-  Bindings trigger_binds = binds;  // for zero-count aggregate emission
   batch_.clear();
   RunOps(0, binds, ctx);
   if (has_agg_) {
-    EmitAggregates(trigger_binds, ctx);
+    // Every op unbinds what it bound before returning, so `binds` again holds exactly
+    // what the trigger bound.
+    EmitAggregates(binds, ctx);
     batch_.clear();
   }
 }
@@ -135,7 +124,7 @@ void Strand::RunOps(size_t op_index, Bindings& binds, EvalContext& ctx) {
   switch (op.kind) {
     case StrandOp::Kind::kAssign: {
       size_t mark = binds.size();
-      binds.Set(*op.var, EvalExpr(*op.expr, binds, ctx));
+      binds.Set(op.slot, EvalExpr(*op.expr, binds, ctx));
       RunOps(op_index + 1, binds, ctx);
       binds.TruncateTo(mark);
       return;
@@ -254,7 +243,7 @@ void Strand::EmitHeadTuple(const Bindings& binds, const Value* agg_result,
       fields.push_back(Value::Null());
       continue;
     }
-    if (expr->kind == Expr::Kind::kVar && !binds.Has(expr->name)) {
+    if (expr->kind == Expr::Kind::kVar && !binds.Has(expr->slot)) {
       // Unbound head variable: null field; for delete rules this is a wildcard.
       fields.push_back(Value::Null());
       continue;
@@ -275,7 +264,6 @@ void Strand::EmitAggregates(const Bindings& trigger_binds, EvalContext& ctx) {
   const Head& head = rule_->head;
   GroupedAggregate groups(agg_kind_);
   for (const Bindings& binds : batch_) {
-    Bindings local = binds;  // EvalExpr takes const ref; copy is cheap and safe
     ValueList key;
     key.reserve(head.args.size());
     bool key_ok = true;
@@ -284,16 +272,16 @@ void Strand::EmitAggregates(const Bindings& trigger_binds, EvalContext& ctx) {
         continue;
       }
       const Expr* expr = head.args[i].expr.get();
-      if (expr == nullptr || !VarsBound(*expr, local)) {
+      if (expr == nullptr || !binds.HasAll(expr->reads)) {
         key_ok = false;
         break;
       }
-      key.push_back(EvalExpr(*expr, local, ctx));
+      key.push_back(EvalExpr(*expr, binds, ctx));
     }
     if (!key_ok) {
       continue;
     }
-    Value input = agg_expr_ != nullptr ? EvalExpr(*agg_expr_, local, ctx) : Value::Null();
+    Value input = agg_expr_ != nullptr ? EvalExpr(*agg_expr_, binds, ctx) : Value::Null();
     groups.Add(key, input);
   }
   if (groups.empty()) {
@@ -308,7 +296,7 @@ void Strand::EmitAggregates(const Bindings& trigger_binds, EvalContext& ctx) {
         continue;
       }
       const Expr* expr = head.args[i].expr.get();
-      if (expr == nullptr || !VarsBound(*expr, trigger_binds)) {
+      if (expr == nullptr || !trigger_binds.HasAll(expr->reads)) {
         return;
       }
       key.push_back(EvalExpr(*expr, trigger_binds, ctx));
@@ -383,7 +371,7 @@ ValueList ContinuousAggRule::GroupKey(const Bindings& binds, bool* ok,
       continue;
     }
     const Expr* expr = rule_->head.args[i].expr.get();
-    if (expr == nullptr || !VarsBound(*expr, binds)) {
+    if (expr == nullptr || !binds.HasAll(expr->reads)) {
       *ok = false;
       return key;
     }
@@ -407,7 +395,7 @@ void ContinuousAggRule::Recurse(size_t op_index, Bindings& binds, GroupedAggrega
   switch (op.kind) {
     case StrandOp::Kind::kAssign: {
       size_t mark = binds.size();
-      binds.Set(*op.var, EvalExpr(*op.expr, binds, ctx));
+      binds.Set(op.slot, EvalExpr(*op.expr, binds, ctx));
       Recurse(op_index + 1, binds, groups, ctx);
       binds.TruncateTo(mark);
       return;
@@ -501,7 +489,7 @@ bool ContinuousAggRule::BindRow(const Tuple* row, Bindings* binds, EvalContext& 
         }
         break;
       case StrandOp::Kind::kAssign:
-        binds->Set(*op.var, EvalExpr(*op.expr, *binds, ctx));
+        binds->Set(op.slot, EvalExpr(*op.expr, *binds, ctx));
         break;
       case StrandOp::Kind::kFilter:
         if (!EvalExpr(*op.expr, *binds, ctx).Truthy()) {
@@ -518,7 +506,7 @@ bool ContinuousAggRule::BindRow(const Tuple* row, Bindings* binds, EvalContext& 
 ContinuousAggRule::GroupMap::iterator ContinuousAggRule::GroupOf(const Tuple& row,
                                                                  bool create,
                                                                  EvalContext& ctx) {
-  Bindings binds;
+  Bindings binds(rule_->num_slots);
   bool ok = false;
   ValueList key;
   if (BindRow(&row, &binds, ctx)) {
@@ -588,7 +576,7 @@ void ContinuousAggRule::Observe(const TableEvent& event) {
 
 std::vector<ContinuousAggRule::Fresh> ContinuousAggRule::RegroupAll(EvalContext& ctx) {
   GroupedAggregate groups(agg_kind_);
-  Bindings binds;
+  Bindings binds(rule_->num_slots);
   Recurse(0, binds, &groups, ctx);
   // Every group is in scope: each one with a result now, then each earlier emission
   // that has none (a vanished group).
@@ -608,7 +596,7 @@ std::vector<ContinuousAggRule::Fresh> ContinuousAggRule::RegroupAll(EvalContext&
 }
 
 std::vector<ContinuousAggRule::Fresh> ContinuousAggRule::RegroupTouched(EvalContext& ctx) {
-  Bindings binds;
+  Bindings binds(rule_->num_slots);
   // Expire (or, the first time, walk) the body table exactly where the full path's
   // scan would: its kExpire notifications touch groups here and re-dirty the rule.
   if (BindRow(nullptr, &binds, ctx)) {

@@ -40,6 +40,7 @@ struct StrandOp {
     kFilter,
   };
   Kind kind = Kind::kFilter;
+  int slot = -1;                    // kAssign target's binding slot
   const Predicate* pred = nullptr;  // kJoin / kNotExists
   Table* table = nullptr;           // kJoin / kNotExists
   int stage = 0;                    // kJoin: 1-based stage index
@@ -54,7 +55,7 @@ struct StrandOp {
   bool use_index = false;
   size_t index_id = 0;
   std::vector<size_t> probe_positions;
-  const std::string* var = nullptr; // kAssign target
+  const std::string* var = nullptr; // kAssign target (its name, for introspection)
   const Expr* expr = nullptr;       // kAssign value / kFilter condition
 };
 
@@ -99,6 +100,7 @@ class Strand {
   void RunOps(size_t op_index, Bindings& binds, EvalContext& ctx);
   void EmitLeaf(const Bindings& binds, EvalContext& ctx);
   void EmitHeadTuple(const Bindings& binds, const Value* agg_result, EvalContext& ctx);
+  // `trigger_binds` holds what the trigger bound (for a zero-count emission).
   void EmitAggregates(const Bindings& trigger_binds, EvalContext& ctx);
 
   Node* node_;

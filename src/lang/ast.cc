@@ -77,18 +77,6 @@ std::string Expr::ToString() const {
   return "?";
 }
 
-void Expr::CollectVars(std::vector<std::string>* out) const {
-  if (kind == Kind::kVar) {
-    out->push_back(name);
-    return;
-  }
-  for (const ExprPtr& c : children) {
-    if (c != nullptr) {
-      c->CollectVars(out);
-    }
-  }
-}
-
 std::string HeadArg::ToString() const {
   if (agg == AggKind::kNone) {
     return expr->ToString();

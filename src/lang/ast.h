@@ -10,10 +10,16 @@
 // `max<C>`, `avg<X>`). Identifiers beginning with an upper-case letter are variables;
 // lower-case identifiers are predicate names, built-in function names (`f_*`), or named
 // parameters resolved against a host-supplied map at parse time.
+//
+// The parser numbers each rule's distinct variables 0, 1, ... in order of first
+// appearance (its binding slots), so strands read and write bindings by slot instead of
+// by name.
 
 #ifndef SRC_LANG_AST_H_
 #define SRC_LANG_AST_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +31,10 @@ namespace p2 {
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
+
+// A rule's bound-variable set is one 64-bit word, so a rule may have at most this many
+// distinct variables; the parser rejects larger rules.
+constexpr size_t kMaxRuleVars = 64;
 
 // Binary and unary operators.
 enum class OpKind {
@@ -45,20 +55,20 @@ struct Expr {
     kMakeList,  // [children...]
   };
 
+  // Ordered to keep padding small: every node parses its own copy of each program.
   Kind kind = Kind::kConst;
+  OpKind op = OpKind::kAdd;
   Value constant;       // kConst
   std::string name;     // kVar: variable name; kCall: function name
-  OpKind op = OpKind::kAdd;
   std::vector<ExprPtr> children;
+  uint64_t reads = 0;   // bit s set: the variable in slot s occurs in this subtree
   bool open_left = true;   // kInterval bracket styles
   bool open_right = true;
+  int8_t slot = -1;     // kVar: the variable's binding slot in its rule
   int line = 0;
 
   // Printed form (diagnostics, introspection tables).
   std::string ToString() const;
-
-  // Collects variable names referenced by this expression into `out`.
-  void CollectVars(std::vector<std::string>* out) const;
 };
 
 // Aggregate functions allowed in head arguments.
@@ -92,6 +102,7 @@ struct BodyTerm {
   // variables in a negated predicate are existential wildcards. Negated predicates
   // must be materialized and are evaluated after all positive terms (stratified).
   bool negated = false;
+  int slot = -1;         // kAssign target's binding slot
   std::string var;       // kAssign target
   ExprPtr expr;          // kAssign value / kFilter condition
   int line = 0;
@@ -115,6 +126,7 @@ struct Rule {
   bool is_delete = false;
   Head head;
   std::vector<BodyTerm> body;
+  size_t num_slots = 0;  // distinct variables, at most kMaxRuleVars
   int line = 0;
 
   std::string ToString() const;

@@ -4,49 +4,12 @@
 
 namespace p2 {
 
-const Value* Bindings::Find(const std::string& name) const {
-  for (const auto& [key, value] : vars_) {
-    if (key == name) {
-      return &value;
-    }
-  }
-  return nullptr;
-}
-
-void Bindings::Set(const std::string& name, Value v) {
-  for (auto& [key, value] : vars_) {
-    if (key == name) {
-      value = std::move(v);
-      return;
-    }
-  }
-  vars_.emplace_back(name, std::move(v));
-}
-
-void Bindings::TruncateTo(size_t n) {
-  if (n < vars_.size()) {
-    vars_.resize(n);
-  }
-}
-
-std::string Bindings::ToString() const {
-  std::string out = "{";
-  for (size_t i = 0; i < vars_.size(); ++i) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += vars_[i].first + "=" + vars_[i].second.ToString();
-  }
-  out += "}";
-  return out;
-}
-
 Value EvalExpr(const Expr& expr, const Bindings& binds, EvalContext& ctx) {
   switch (expr.kind) {
     case Expr::Kind::kConst:
       return expr.constant;
     case Expr::Kind::kVar: {
-      const Value* v = binds.Find(expr.name);
+      const Value* v = binds.Find(expr.slot);
       return v != nullptr ? *v : Value::Null();
     }
     case Expr::Kind::kUnary: {

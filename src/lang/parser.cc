@@ -220,8 +220,80 @@ class Parser {
     if (!Expect(TokKind::kDot, "'.'")) {
       return false;
     }
+    if (!NumberRuleVars(&rule)) {
+      *error_ = StrFormat("parse error at line %d: rule %s has more than %zu variables",
+                          rule.line, rule.id.c_str(), kMaxRuleVars);
+      return false;
+    }
     out_->rules.push_back(std::move(rule));
     return true;
+  }
+
+  // Gives each distinct variable of `rule` a binding slot, in order of first appearance
+  // (head, then body), and records at every expression node the slots its subtree
+  // reads. False when the rule has more than kMaxRuleVars variables.
+  bool NumberRuleVars(Rule* rule) {
+    rule_vars_.clear();
+    for (HeadArg& arg : rule->head.args) {
+      if (arg.expr != nullptr && !NumberVars(arg.expr.get())) {
+        return false;
+      }
+    }
+    for (BodyTerm& term : rule->body) {
+      if (term.kind == BodyTerm::Kind::kPredicate) {
+        for (ExprPtr& arg : term.pred.args) {
+          if (!NumberVars(arg.get())) {
+            return false;
+          }
+        }
+        continue;
+      }
+      if (term.kind == BodyTerm::Kind::kAssign) {
+        term.slot = SlotOf(term.var);
+        if (term.slot < 0) {
+          return false;
+        }
+      }
+      if (!NumberVars(term.expr.get())) {
+        return false;
+      }
+    }
+    rule->num_slots = rule_vars_.size();
+    return true;
+  }
+
+  bool NumberVars(Expr* expr) {
+    if (expr->kind == Expr::Kind::kVar) {
+      expr->slot = SlotOf(expr->name);
+      if (expr->slot < 0) {
+        return false;
+      }
+      expr->reads = uint64_t{1} << expr->slot;
+      return true;
+    }
+    for (ExprPtr& c : expr->children) {
+      if (!NumberVars(c.get())) {
+        return false;
+      }
+      expr->reads |= c->reads;
+    }
+    return true;
+  }
+
+  // The slot of variable `name` in the rule being numbered, or -1 when it would exceed
+  // kMaxRuleVars. A linear scan: rules have about a dozen variables, and a map would
+  // allocate per variable on every program install.
+  int SlotOf(const std::string& name) {
+    for (size_t i = 0; i < rule_vars_.size(); ++i) {
+      if (*rule_vars_[i] == name) {
+        return static_cast<int>(i);
+      }
+    }
+    if (rule_vars_.size() == kMaxRuleVars) {
+      return -1;
+    }
+    rule_vars_.push_back(&name);
+    return static_cast<int>(rule_vars_.size() - 1);
   }
 
   bool ParseHead(Head* head) {
@@ -668,6 +740,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  // The variable names of the rule being numbered, by slot (they point into the rule).
+  std::vector<const std::string*> rule_vars_;
   const ParamMap& params_;
   Program* out_;
   std::string* error_;

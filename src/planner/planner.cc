@@ -1,7 +1,5 @@
 #include "src/planner/planner.h"
 
-#include <set>
-
 #include "src/common/strings.h"
 #include "src/lang/builtins.h"
 #include "src/net/node.h"
@@ -63,9 +61,7 @@ bool IsVolatile(const Expr& expr) {
 // True when a continuous aggregate can be kept per group (ContinuousAggRule): the body
 // reads one table, the other terms are assignments and filters, and nothing in the rule
 // is volatile, so the group a row falls in and what it adds depend on that row alone.
-// A table bounded to zero rows reports each insert after evicting it, which membership
-// cannot follow; such a table never holds a row, so the full path costs nothing there.
-bool AggregatesPerGroup(const Rule& rule, Catalog& catalog) {
+bool AggregatesPerGroup(const Rule& rule) {
   const Predicate* lookup = nullptr;
   for (const BodyTerm& term : rule.body) {
     if (term.kind != BodyTerm::Kind::kPredicate) {
@@ -89,36 +85,28 @@ bool AggregatesPerGroup(const Rule& rule, Catalog& catalog) {
       return false;
     }
   }
-  Table* table = lookup != nullptr ? catalog.Get(lookup->name) : nullptr;
-  return table != nullptr && table->spec().max_size > 0;
+  return lookup != nullptr;
 }
 
-// Adds the variables that `pred` binds when matched (its plain-variable arguments).
-void AddBoundVars(const Predicate& pred, std::set<std::string>* bound) {
+// The slots that `pred` binds when matched (its plain-variable arguments).
+uint64_t BoundVars(const Predicate& pred) {
+  uint64_t slots = 0;
   for (const ExprPtr& arg : pred.args) {
     if (arg->kind == Expr::Kind::kVar) {
-      bound->insert(arg->name);
+      slots |= arg->reads;
     }
   }
+  return slots;
 }
 
-bool ExprReady(const Expr& expr, const std::set<std::string>& bound) {
-  std::vector<std::string> vars;
-  expr.CollectVars(&vars);
-  for (const std::string& v : vars) {
-    if (bound.count(v) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
+// True when every variable of `expr` is in `bound` (bit s for slot s).
+bool ExprReady(const Expr& expr, uint64_t bound) { return (expr.reads & ~bound) == 0; }
 
 // Argument positions of `pred` whose value is computable before the lookup runs:
 // constants or expressions over already-bound variables, excluding volatile calls
 // (f_rand/f_now must be re-evaluated per row, so they cannot feed a one-shot probe
 // key). These form the equality prefix a secondary index can probe on.
-std::vector<size_t> BoundEqualityPositions(const Predicate& pred,
-                                           const std::set<std::string>& bound) {
+std::vector<size_t> BoundEqualityPositions(const Predicate& pred, uint64_t bound) {
   std::vector<size_t> positions;
   for (size_t i = 0; i < pred.args.size(); ++i) {
     const Expr& arg = *pred.args[i];
@@ -132,8 +120,8 @@ std::vector<size_t> BoundEqualityPositions(const Predicate& pred,
 // Decides the access path for a non-key-probe lookup op: request (or reuse) a
 // secondary index over the bound equality prefix, falling back to a scan when
 // nothing is bound or indexes are disabled on this node.
-void SelectIndex(StrandOp* op, const Predicate& pred, Table* table,
-                 const std::set<std::string>& bound, Node* node, bool index_joins) {
+void SelectIndex(StrandOp* op, const Predicate& pred, Table* table, uint64_t bound,
+                 Node* node, bool index_joins) {
   if (op->key_lookup || !index_joins || !node->options().use_join_indexes) {
     return;
   }
@@ -158,10 +146,7 @@ void SelectIndex(StrandOp* op, const Predicate& pred, Table* table,
 // for a secondary index (a per-group aggregate never probes its table).
 bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node, bool index_joins,
               std::vector<StrandOp>* ops, int* num_stages, std::string* error) {
-  std::set<std::string> bound;
-  if (trigger != nullptr) {
-    AddBoundVars(*trigger, &bound);
-  }
+  uint64_t bound = trigger != nullptr ? BoundVars(*trigger) : 0;
 
   // Count the joins so volatile terms can be deferred past the last one.
   size_t total_joins = 0;
@@ -172,19 +157,17 @@ bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node, bool index
   }
   // Volatile assignment targets must not feed a join pattern (the join would bind the
   // variable from table rows instead).
-  std::set<std::string> join_vars;
+  uint64_t join_vars = 0;
   for (const BodyTerm& term : rule.body) {
     if (term.kind == BodyTerm::Kind::kPredicate && &term.pred != trigger) {
-      std::vector<std::string> vars;
       for (const ExprPtr& arg : term.pred.args) {
-        arg->CollectVars(&vars);
+        join_vars |= arg->reads;
       }
-      join_vars.insert(vars.begin(), vars.end());
     }
   }
   for (const BodyTerm& term : rule.body) {
     if (term.kind == BodyTerm::Kind::kAssign && IsVolatile(*term.expr) &&
-        join_vars.count(term.var) > 0) {
+        ((join_vars >> term.slot) & 1) != 0) {
       *error = StrFormat("rule %s: volatile assignment to %s is used in a join pattern",
                          rule.id.c_str(), term.var.c_str());
       return false;
@@ -213,15 +196,17 @@ bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node, bool index
         }
         StrandOp op;
         if (term.kind == BodyTerm::Kind::kAssign) {
-          if (bound.count(term.var) > 0) {
+          const uint64_t target = uint64_t{1} << term.slot;
+          if ((bound & target) != 0) {
             *error = StrFormat("rule %s: variable %s assigned but already bound",
                                rule.id.c_str(), term.var.c_str());
             return false;
           }
           op.kind = StrandOp::Kind::kAssign;
           op.var = &term.var;
+          op.slot = term.slot;
           op.expr = term.expr.get();
-          bound.insert(term.var);
+          bound |= target;
         } else {
           op.kind = StrandOp::Kind::kFilter;
           op.expr = term.expr.get();
@@ -278,7 +263,7 @@ bool BuildOps(const Rule& rule, const Predicate* trigger, Node* node, bool index
       SelectIndex(&op, term.pred, table, bound, node, index_joins);
       ops->push_back(op);
       ++joins_placed;
-      AddBoundVars(term.pred, &bound);
+      bound |= BoundVars(term.pred);
       continue;
     }
     // Assignment / filter: place now if ready, else defer.
@@ -390,7 +375,7 @@ bool PlanProgram(const Program& program, Node* node, PlanResult* out, std::strin
           *error = StrFormat("rule %s: periodic takes (E, Period)", rule.id.c_str());
           return false;
         }
-        Bindings empty;
+        Bindings empty(0);
         EvalContext ctx;
         Value period = EvalExpr(*periodic->args[2], empty, ctx);
         if (!period.is_numeric() || period.ToDouble() <= 0) {
@@ -427,7 +412,7 @@ bool PlanProgram(const Program& program, Node* node, PlanResult* out, std::strin
     if (agg_count > 0) {
       // Continuous aggregate: per group when the shape allows, else a full group-by
       // on every body-table change.
-      bool per_group = AggregatesPerGroup(rule, catalog);
+      bool per_group = AggregatesPerGroup(rule);
       std::vector<StrandOp> ops;
       int num_stages = 0;
       if (!BuildOps(rule, nullptr, node, /*index_joins=*/!per_group, &ops, &num_stages,

@@ -2,6 +2,8 @@
 
 #include <new>
 
+#include "src/runtime/counter_shards.h"
+
 namespace p2 {
 
 namespace {
@@ -48,20 +50,20 @@ ThreadCache& Cache() {
   return cache;
 }
 
+enum : std::size_t { kFreshBytes, kFreshBlocks, kRecycledBlocks };
+constinit ShardedCounters<3> counters;
+
 }  // namespace
 
 std::atomic<bool> TupleArena::enabled_{true};
-std::atomic<std::uint64_t> TupleArena::fresh_bytes_{0};
-std::atomic<std::uint64_t> TupleArena::fresh_blocks_{0};
-std::atomic<std::uint64_t> TupleArena::recycled_blocks_{0};
 
 void* TupleArena::Allocate(std::size_t size) {
   if (size == 0) {
     size = 1;
   }
   if (size > kMaxClassSize) {
-    fresh_bytes_.fetch_add(size, std::memory_order_relaxed);
-    fresh_blocks_.fetch_add(1, std::memory_order_relaxed);
+    counters.Add(kFreshBytes, size);
+    counters.Add(kFreshBlocks, 1);
     return ::operator new(size);
   }
   const std::size_t idx = ClassIndex(size);
@@ -71,13 +73,13 @@ void* TupleArena::Allocate(std::size_t size) {
     if (node != nullptr) {
       cache.head[idx] = node->next;
       --cache.count;
-      recycled_blocks_.fetch_add(1, std::memory_order_relaxed);
+      counters.Add(kRecycledBlocks, 1);
       return node;
     }
   }
   const std::size_t bytes = ClassSize(idx);
-  fresh_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  fresh_blocks_.fetch_add(1, std::memory_order_relaxed);
+  counters.Add(kFreshBytes, bytes);
+  counters.Add(kFreshBlocks, 1);
   return ::operator new(bytes);
 }
 
@@ -103,6 +105,10 @@ void TupleArena::Deallocate(void* p, std::size_t size) noexcept {
   }
   ::operator delete(p);
 }
+
+std::uint64_t TupleArena::FreshBytes() { return counters.Sum(kFreshBytes); }
+std::uint64_t TupleArena::FreshBlocks() { return counters.Sum(kFreshBlocks); }
+std::uint64_t TupleArena::RecycledBlocks() { return counters.Sum(kRecycledBlocks); }
 
 std::size_t TupleArena::ThreadCachedBlocks() { return Cache().count; }
 

@@ -54,17 +54,12 @@ class TupleArena {
   static void Deallocate(void* p, std::size_t size) noexcept;
 
   // Bytes / blocks actually obtained from the heap since process start
-  // (class-rounded; recycled pops excluded). Monotonic, fleet-wide.
-  static std::uint64_t FreshBytes() {
-    return fresh_bytes_.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t FreshBlocks() {
-    return fresh_blocks_.load(std::memory_order_relaxed);
-  }
+  // (class-rounded; recycled pops excluded). Monotonic, fleet-wide. These readers sum
+  // per-thread shards (src/runtime/counter_shards.h): call them between runs.
+  static std::uint64_t FreshBytes();
+  static std::uint64_t FreshBlocks();
   // Blocks served from a free list since process start.
-  static std::uint64_t RecycledBlocks() {
-    return recycled_blocks_.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t RecycledBlocks();
 
   // Blocks currently parked on the calling thread's free lists.
   static std::size_t ThreadCachedBlocks();
@@ -73,9 +68,6 @@ class TupleArena {
 
  private:
   static std::atomic<bool> enabled_;
-  static std::atomic<std::uint64_t> fresh_bytes_;
-  static std::atomic<std::uint64_t> fresh_blocks_;
-  static std::atomic<std::uint64_t> recycled_blocks_;
 };
 
 // Minimal stateless STL allocator routing through TupleArena. Used for the

@@ -212,9 +212,10 @@ InsertOutcome Table::Insert(const TupleRef& t, double now) {
   index_.emplace(std::move(key), row);
   SecondaryAdd(row);
   HeapPush(row);
-  EvictOverflow();
   ++counters_.inserts;
+  // Listeners see the row arrive before any eviction it causes (its own included).
   Notify({TableChange::kInsert, t, seq, nullptr});
+  EvictOverflow();
   return InsertOutcome::kNew;
 }
 

@@ -2,12 +2,16 @@
 
 #include <functional>
 
+#include "src/runtime/counter_shards.h"
+
 namespace p2 {
 
-std::atomic<uint64_t> Tuple::live_count_{0};
-std::atomic<uint64_t> Tuple::live_bytes_{0};
-std::atomic<uint64_t> Tuple::total_created_{0};
-std::atomic<uint64_t> Tuple::total_bytes_created_{0};
+namespace {
+
+enum : size_t { kLiveCount, kLiveBytes, kTotalCreated, kTotalBytesCreated };
+constinit ShardedCounters<4> counters;
+
+}  // namespace
 
 Tuple::Tuple(std::string name, ValueList fields)
     : name_(std::move(name)), fields_(std::move(fields)) {
@@ -15,15 +19,15 @@ Tuple::Tuple(std::string name, ValueList fields)
   for (const Value& v : fields_) {
     byte_size_ += v.ByteSize();
   }
-  live_count_.fetch_add(1, std::memory_order_relaxed);
-  live_bytes_.fetch_add(byte_size_, std::memory_order_relaxed);
-  total_created_.fetch_add(1, std::memory_order_relaxed);
-  total_bytes_created_.fetch_add(byte_size_, std::memory_order_relaxed);
+  counters.Add(kLiveCount, 1);
+  counters.Add(kLiveBytes, byte_size_);
+  counters.Add(kTotalCreated, 1);
+  counters.Add(kTotalBytesCreated, byte_size_);
 }
 
 Tuple::~Tuple() {
-  live_count_.fetch_sub(1, std::memory_order_relaxed);
-  live_bytes_.fetch_sub(byte_size_, std::memory_order_relaxed);
+  counters.Sub(kLiveCount, 1);
+  counters.Sub(kLiveBytes, byte_size_);
 }
 
 TupleRef Tuple::Make(std::string name, ValueList fields) {
@@ -77,11 +81,9 @@ std::string Tuple::ToString() const {
 
 size_t Tuple::ByteSize() const { return byte_size_; }
 
-uint64_t Tuple::LiveCount() { return live_count_.load(std::memory_order_relaxed); }
-uint64_t Tuple::LiveBytes() { return live_bytes_.load(std::memory_order_relaxed); }
-uint64_t Tuple::TotalCreated() { return total_created_.load(std::memory_order_relaxed); }
-uint64_t Tuple::TotalBytesCreated() {
-  return total_bytes_created_.load(std::memory_order_relaxed);
-}
+uint64_t Tuple::LiveCount() { return counters.Sum(kLiveCount); }
+uint64_t Tuple::LiveBytes() { return counters.Sum(kLiveBytes); }
+uint64_t Tuple::TotalCreated() { return counters.Sum(kTotalCreated); }
+uint64_t Tuple::TotalBytesCreated() { return counters.Sum(kTotalBytesCreated); }
 
 }  // namespace p2

@@ -4,14 +4,14 @@
 // location specifier: the address of the node where the tuple lives or must be sent.
 // `link@A(B, W)` therefore denotes the tuple link(A, B, W).
 //
-// Tuples are immutable and shared by reference. A global live-instance counter feeds the
+// Tuples are immutable and shared by reference. Global live-instance counters feed the
 // memory figures of the evaluation section (the paper tracks "live tuples" directly in
 // Figures 6 and 7 and process memory elsewhere; intermediate tuples dominate both).
 
 #ifndef SRC_RUNTIME_TUPLE_H_
 #define SRC_RUNTIME_TUPLE_H_
 
-#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,7 +59,8 @@ class Tuple {
   // Global accounting across all live Tuple instances in the process. The benchmarks
   // snapshot these to report "live tuples" / memory growth; TotalBytesCreated deltas
   // measure intermediate-tuple churn (the paper's stated driver of process-memory
-  // growth under monitoring load).
+  // growth under monitoring load). Each reader sums per-thread shards (see
+  // src/runtime/counter_shards.h), so call them between runs, not per tuple.
   static uint64_t LiveCount();
   static uint64_t LiveBytes();
   static uint64_t TotalCreated();
@@ -69,11 +70,6 @@ class Tuple {
   std::string name_;
   ValueList fields_;
   size_t byte_size_;
-
-  static std::atomic<uint64_t> live_count_;
-  static std::atomic<uint64_t> live_bytes_;
-  static std::atomic<uint64_t> total_created_;
-  static std::atomic<uint64_t> total_bytes_created_;
 };
 
 }  // namespace p2

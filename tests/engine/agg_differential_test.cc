@@ -6,9 +6,11 @@
 // a static one-row table (`one@N(Z)`), which sends them down the full path; no
 // test-only switch is involved. A seeded random sequence of operations drives both
 // nodes' body tables identically — inserts, refreshes, replaces that move a row
-// between groups, keyed and unkeyed deletes, expiry (many rows at once) and eviction —
-// and after every drain the two nodes must have delivered the identical stream of head
-// tuples: name, fields (kind-exact), is_delete and mask, in order.
+// between groups, keyed and unkeyed deletes, expiry (many rows at once) and eviction,
+// and every insert repeated into a table bounded to zero rows, which evicts each row
+// right after it arrives — and after every drain the two nodes must have delivered
+// the identical stream of head tuples: name, fields (kind-exact), is_delete and mask,
+// in order.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +27,11 @@ namespace p2 {
 namespace {
 
 // t(N, K, G, V, Tag): keyed on (N, K), so re-inserting a K with a new G moves the row
-// between groups; lifetime 4 s and 6 rows force expiry and eviction.
+// between groups; lifetime 4 s and 6 rows force expiry and eviction. z has t's shape
+// and holds no row.
 constexpr char kTables[] = R"(
   materialize(t, 4, 6, keys(1, 2)).
+  materialize(z, 4, 0, keys(1, 2)).
   materialize(one, infinity, 1, keys(1)).
   materialize(mn, infinity, 1000, keys(1, 2)).
   materialize(mx, infinity, 1000, keys(1, 2)).
@@ -41,7 +45,7 @@ constexpr char kTables[] = R"(
 // mxc aggregates mx, which the mx rule maintains through retractions.
 constexpr char kRules[] = R"(
   watch(cnt). watch(mn). watch(mx). watch(av). watch(sm). watch(tot). watch(gk).
-  watch(mxc).
+  watch(mxc). watch(zc).
   a1 cnt@N(G, count<*>) :- t@N(K, G, V, "in")JOIN.
   a2 mn@N(G, min<W>) :- t@N(K, G, V, Tag), Tag != "skip", W := VJOIN.
   a3 mx@N(G, max<V>) :- t@N(K, G, V, Tag), V != 13JOIN.
@@ -50,6 +54,7 @@ constexpr char kRules[] = R"(
   a6 tot@N(count<*>) :- t@N(K, G, V, Tag)JOIN.
   a7 gk@N(H, count<*>) :- t@N(K, G, V, Tag), H := G + "/" + TagJOIN.
   a8 mxc@N(count<*>) :- mx@N(G, M)JOIN.
+  a9 zc@N(G, count<*>) :- z@N(K, G, V, Tag)JOIN.
 )";
 
 std::string Rules(bool reference) {
@@ -219,6 +224,7 @@ class Pair {
     for (Node* n : nodes_) {
       ValueList fields = {Value::Str(n->addr())};
       fields.insert(fields.end(), rest.begin(), rest.end());
+      n->catalog().Get("z")->Insert(Tuple::Make("z", fields), n->Now());
       n->catalog().Get("t")->Insert(Tuple::Make("t", std::move(fields)), n->Now());
     }
   }

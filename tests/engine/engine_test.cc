@@ -172,6 +172,76 @@ TEST_F(EngineTest, DeleteWithWildcardUnboundVars) {
   EXPECT_EQ(n->TableContents("s").size(), 0u);
 }
 
+TEST_F(EngineTest, RepeatedVariableBindsOnceThenCompares) {
+  Node* n = AddNode("n1");
+  Load(n,
+       "materialize(t, infinity, 10, keys(1,2,3)).\n"
+       "r1 out@N(X) :- ev@N(X, X).\n"
+       "r2 pair@N(Y) :- probe@N(), t@N(Y, Y).");
+  std::vector<TupleRef> outs;
+  n->SubscribeEvent("out", [&](const TupleRef& t) { outs.push_back(t); });
+  n->SubscribeEvent("pair", [&](const TupleRef& t) { outs.push_back(t); });
+  n->InjectEvent(Tuple::Make("ev", {Value::Str("n1"), Value::Int(1), Value::Int(2)}));
+  n->InjectEvent(Tuple::Make("ev", {Value::Str("n1"), Value::Int(3), Value::Int(3)}));
+  n->InjectEvent(Tuple::Make("t", {Value::Str("n1"), Value::Int(4), Value::Int(5)}));
+  n->InjectEvent(Tuple::Make("t", {Value::Str("n1"), Value::Int(6), Value::Int(6)}));
+  net_.RunFor(0.1);
+  n->InjectEvent(Tuple::Make("probe", {Value::Str("n1")}));
+  net_.RunFor(0.1);
+  ASSERT_EQ(outs.size(), 2u);
+  EXPECT_EQ(outs[0]->ToString(), "out(n1, 3)");
+  EXPECT_EQ(outs[1]->ToString(), "pair(n1, 6)");
+}
+
+TEST_F(EngineTest, UnboundHeadVariableIsNullOrWildcard) {
+  Node* n = AddNode("n1");
+  Load(n,
+       "materialize(s, infinity, 10, keys(1,2,3)).\n"
+       "watch(out).\n"
+       "r1 out@N(X, W) :- ev@N(X).\n"
+       "d1 delete s@N(X, W) :- drop@N(X).");
+  n->InjectEvent(Tuple::Make("ev", {Value::Str("n1"), Value::Int(7)}));
+  for (auto [x, w] : {std::pair{1, "a"}, {1, "b"}, {2, "a"}}) {
+    n->InjectEvent(Tuple::Make("s", {Value::Str("n1"), Value::Int(x), Value::Str(w)}));
+  }
+  net_.RunFor(0.1);
+  // Insert rule: W is a null field whose mask bit is clear.
+  ASSERT_EQ(n->watch_log().size(), 1u);
+  const Node::WatchEntry& out = n->watch_log()[0];
+  EXPECT_EQ(out.tuple->ToString(), "out(n1, 7, null)");
+  EXPECT_EQ(out.bound_mask, 0x3u);
+  // Delete rule: W matches any value.
+  n->InjectEvent(Tuple::Make("drop", {Value::Str("n1"), Value::Int(1)}));
+  net_.RunFor(0.1);
+  std::vector<TupleRef> rows = n->TableContents("s");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0]->ToString(), "s(n1, 2, a)");
+}
+
+TEST_F(EngineTest, RuleVariableLimit) {
+  Node* n = AddNode("n1");
+  // 64 variables load and bind, the last slot included.
+  std::string args;
+  for (int i = 1; i <= 63; ++i) {
+    args += (i > 1 ? ", V" : "V") + std::to_string(i);
+  }
+  Load(n, "big out@N(V63, V1) :- ev@N(" + args + ").");
+  std::vector<TupleRef> outs;
+  n->SubscribeEvent("out", [&](const TupleRef& t) { outs.push_back(t); });
+  ValueList fields = {Value::Str("n1")};
+  for (int i = 1; i <= 63; ++i) {
+    fields.push_back(Value::Int(i));
+  }
+  n->InjectEvent(Tuple::Make("ev", std::move(fields)));
+  net_.RunFor(0.1);
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(outs[0]->ToString(), "out(n1, 63, 1)");
+  // One more fails to load, with an error naming the rule.
+  std::string error;
+  EXPECT_FALSE(n->LoadProgram("huge out@N() :- ev@N(" + args + "), V64 := 1.", &error));
+  EXPECT_NE(error.find("rule huge has more than 64 variables"), std::string::npos) << error;
+}
+
 TEST_F(EngineTest, SoftStateExpires) {
   Node* n = AddNode("n1");
   Load(n, "materialize(s, 3, 10, keys(1,2)).");

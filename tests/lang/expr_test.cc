@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/lang/builtins.h"
 #include "src/lang/parser.h"
@@ -9,24 +13,44 @@
 namespace p2 {
 namespace {
 
-// Parses a filter expression by wrapping it in a rule body.
-ExprPtr ParseExpr(const std::string& text) {
+// Parses one rule.
+Rule ParseRule(const std::string& text) {
   Program program;
   std::string error;
-  EXPECT_TRUE(ParseProgram("r1 out@N() :- ev@N(A, B, C, S), " + text + ".", &program,
-                           &error))
-      << error;
-  EXPECT_EQ(program.rules[0].body.back().kind, BodyTerm::Kind::kFilter);
-  return std::move(program.rules[0].body.back().expr);
+  EXPECT_TRUE(ParseProgram(text, &program, &error)) << error;
+  EXPECT_EQ(program.rules.size(), 1u);
+  return program.rules.empty() ? Rule() : std::move(program.rules[0]);
 }
 
+// The slot the parser gave variable `name` in `rule`'s first body predicate.
+int SlotOf(const Rule& rule, const std::string& name) {
+  for (const ExprPtr& arg : rule.body[0].pred.args) {
+    if (arg->kind == Expr::Kind::kVar && arg->name == name) {
+      return arg->slot;
+    }
+  }
+  ADD_FAILURE() << name << " is not an argument of " << rule.body[0].pred.ToString();
+  return 0;
+}
+
+// Evaluates filter expressions by wrapping each in a rule body after the trigger
+// ev@N(A, B, C, S); the values given to Bind are bound at the slots that rule gives
+// A, B, C and S.
 class ExprEvalTest : public ::testing::Test {
  protected:
+  void Bind(const std::string& var, Value v) { pending_.emplace_back(var, std::move(v)); }
+
   Value Eval(const std::string& text) {
-    ExprPtr e = ParseExpr(text);
-    return EvalExpr(*e, binds_, ctx_);
+    Rule rule = ParseRule("r1 out@N() :- ev@N(A, B, C, S), " + text + ".");
+    EXPECT_EQ(rule.body.back().kind, BodyTerm::Kind::kFilter);
+    Bindings binds(rule.num_slots);
+    for (const auto& [var, value] : pending_) {
+      binds.Set(SlotOf(rule, var), value);
+    }
+    return EvalExpr(*rule.body.back().expr, binds, ctx_);
   }
-  Bindings binds_;
+
+  std::vector<std::pair<std::string, Value>> pending_;
   Rng rng_{1};
   std::string addr_ = "n1";
   EvalContext ctx_{12.5, &rng_, &addr_};
@@ -40,7 +64,7 @@ TEST_F(ExprEvalTest, ArithmeticAndPrecedence) {
 }
 
 TEST_F(ExprEvalTest, VariablesResolve) {
-  binds_.Set("A", Value::Int(5));
+  Bind("A", Value::Int(5));
   EXPECT_EQ(Eval("A + 1"), Value::Int(6));
 }
 
@@ -50,7 +74,7 @@ TEST_F(ExprEvalTest, UnboundVariableIsNullAndFiltersFalse) {
 }
 
 TEST_F(ExprEvalTest, ComparisonsAndLogicals) {
-  binds_.Set("A", Value::Int(5));
+  Bind("A", Value::Int(5));
   EXPECT_TRUE(Eval("A == 5").AsBool());
   EXPECT_TRUE(Eval("A != 4").AsBool());
   EXPECT_TRUE(Eval("(A > 10) || (A > 1)").AsBool());
@@ -61,7 +85,7 @@ TEST_F(ExprEvalTest, ComparisonsAndLogicals) {
 TEST_F(ExprEvalTest, ShortCircuitGuardsNullOperands) {
   // The paper's sb9-style guard: (PAddr == "-") || (PID2 in (PID, NID)) must not
   // fault when the right side has unbound variables.
-  binds_.Set("S", Value::Str("-"));
+  Bind("S", Value::Str("-"));
   EXPECT_TRUE(Eval("(S == \"-\") || (Z in (Y, X))").AsBool());
 }
 
@@ -100,26 +124,34 @@ TEST_F(ExprEvalTest, UnknownBuiltinIsNull) {
 }
 
 TEST_F(ExprEvalTest, IntervalOnBoundVars) {
-  binds_.Set("A", Value::Id(10));
-  binds_.Set("B", Value::Id(5));
-  binds_.Set("C", Value::Id(15));
+  Bind("A", Value::Id(10));
+  Bind("B", Value::Id(5));
+  Bind("C", Value::Id(15));
   EXPECT_TRUE(Eval("A in (B, C]").AsBool());
   EXPECT_FALSE(Eval("B in (A, C]").AsBool());
 }
 
 TEST(BindingsTest, SetFindTruncate) {
-  Bindings b;
-  EXPECT_EQ(b.Find("X"), nullptr);
-  b.Set("X", Value::Int(1));
-  b.Set("Y", Value::Int(2));
-  ASSERT_NE(b.Find("X"), nullptr);
-  EXPECT_EQ(*b.Find("Y"), Value::Int(2));
-  b.Set("X", Value::Int(9));  // overwrite in place
-  EXPECT_EQ(*b.Find("X"), Value::Int(9));
+  Rule rule = ParseRule("r1 out@N(X, Y) :- ev@N(X, Y).");
+  const int x = SlotOf(rule, "X");
+  const int y = SlotOf(rule, "Y");
+  Bindings b(rule.num_slots);
+  EXPECT_EQ(b.Find(x), nullptr);
+  b.Set(x, Value::Int(1));
+  b.Set(y, Value::Int(2));
+  ASSERT_NE(b.Find(x), nullptr);
+  EXPECT_EQ(*b.Find(y), Value::Int(2));
+  b.Set(x, Value::Int(9));  // overwrite in place
+  EXPECT_EQ(*b.Find(x), Value::Int(9));
   EXPECT_EQ(b.size(), 2u);
   b.TruncateTo(1);
-  EXPECT_EQ(b.Find("Y"), nullptr);
-  EXPECT_NE(b.Find("X"), nullptr);
+  EXPECT_EQ(b.Find(y), nullptr);
+  EXPECT_NE(b.Find(x), nullptr);
+  const uint64_t both = rule.head.args[1].expr->reads | rule.head.args[2].expr->reads;
+  EXPECT_FALSE(b.HasAll(both));
+  b.Set(y, Value::Int(3));  // a backtracked slot binds afresh
+  EXPECT_EQ(*b.Find(y), Value::Int(3));
+  EXPECT_TRUE(b.HasAll(both));
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace p2 {
 namespace {
@@ -12,6 +17,38 @@ Program MustParse(const std::string& src, ParamMap params = ParamMap()) {
   std::string error;
   EXPECT_TRUE(ParseProgram(src, params, &program, &error)) << error;
   return program;
+}
+
+void CollectOccurrences(const Expr& expr, std::vector<std::pair<std::string, int>>* out) {
+  if (expr.kind == Expr::Kind::kVar) {
+    out->emplace_back(expr.name, expr.slot);
+  }
+  for (const ExprPtr& c : expr.children) {
+    CollectOccurrences(*c, out);
+  }
+}
+
+// Every variable occurrence in `rule`, assignment targets included, as (name, slot).
+std::vector<std::pair<std::string, int>> VarOccurrences(const Rule& rule) {
+  std::vector<std::pair<std::string, int>> out;
+  for (const HeadArg& arg : rule.head.args) {
+    if (arg.expr != nullptr) {
+      CollectOccurrences(*arg.expr, &out);
+    }
+  }
+  for (const BodyTerm& term : rule.body) {
+    if (term.kind == BodyTerm::Kind::kPredicate) {
+      for (const ExprPtr& arg : term.pred.args) {
+        CollectOccurrences(*arg, &out);
+      }
+      continue;
+    }
+    if (term.kind == BodyTerm::Kind::kAssign) {
+      out.emplace_back(term.var, term.slot);
+    }
+    CollectOccurrences(*term.expr, &out);
+  }
+  return out;
 }
 
 TEST(ParserTest, Materialize) {
@@ -165,6 +202,47 @@ TEST(ParserTest, SyntaxErrorsReported) {
   EXPECT_FALSE(ParseProgram("materialize(x, abc, 5, keys(1)).", &program, &error));
   EXPECT_FALSE(ParseProgram("r1 head@N(X) : b@N(X).", &program, &error));
   EXPECT_FALSE(ParseProgram("r1 head@N(count<X) :- b@N(X).", &program, &error));
+}
+
+TEST(ParserTest, EveryOccurrenceOfAVariableSharesOneSlot) {
+  // X is bound by the trigger, then used in a join, a filter, an assignment's
+  // expression and the head.
+  Program p = MustParse("r1 out@N(X, Y, Z) :- ev@N(X), t@N(X, Y), X > 0, Z := X + 1.");
+  const Rule& r = p.rules[0];
+  EXPECT_EQ(r.num_slots, 4u);
+  std::map<std::string, std::set<int>> slots;
+  size_t x_uses = 0;
+  for (const auto& [name, slot] : VarOccurrences(r)) {
+    slots[name].insert(slot);
+    x_uses += name == "X" ? 1 : 0;
+  }
+  EXPECT_EQ(x_uses, 5u);
+  std::set<int> distinct;
+  for (const auto& [name, s] : slots) {
+    ASSERT_EQ(s.size(), 1u) << name;
+    EXPECT_GE(*s.begin(), 0);
+    EXPECT_LT(*s.begin(), 4);
+    distinct.insert(*s.begin());
+  }
+  EXPECT_EQ(distinct.size(), 4u);  // N, X, Y, Z
+  const uint64_t x = uint64_t{1} << *slots["X"].begin();
+  EXPECT_EQ(r.body[2].expr->reads, x);  // X > 0
+  EXPECT_EQ(r.body[3].expr->reads, x);  // X + 1
+  EXPECT_EQ(r.body[3].slot, *slots["Z"].begin());
+}
+
+TEST(ParserTest, RulesNumberTheirSlotsIndependently) {
+  Program p = MustParse("r1 a@N(X, Y) :- ev@N(X, Y).\n"
+                        "r2 b@M(Q) :- ev@M(Q, X).");
+  ASSERT_EQ(p.rules.size(), 2u);
+  EXPECT_EQ(p.rules[0].num_slots, 3u);
+  EXPECT_EQ(p.rules[1].num_slots, 3u);
+  // Each rule numbers from 0 in order of first appearance, so X is slot 1 in r1 and
+  // slot 2 in r2.
+  EXPECT_EQ(p.rules[0].head.args[0].expr->slot, 0);   // N
+  EXPECT_EQ(p.rules[1].head.args[0].expr->slot, 0);   // M
+  EXPECT_EQ(p.rules[0].body[0].pred.args[1]->slot, 1);
+  EXPECT_EQ(p.rules[1].body[0].pred.args[2]->slot, 2);
 }
 
 TEST(ParserTest, BooleanAndComparisonPrecedence) {

@@ -283,6 +283,10 @@ TEST_F(PlannerTest, Rejections) {
                     "r6 out@N(R) :- e@N(X), R := f_rand(), t@N(R).",
                     &error));
   EXPECT_NE(error.find("volatile"), std::string::npos);
+  // Assigning a variable the trigger already bound.
+  EXPECT_FALSE(Plan("r7 out@N(X) :- e@N(X), X := 1.", &error));
+  EXPECT_NE(error.find("variable X assigned but already bound"), std::string::npos)
+      << error;
 }
 
 }  // namespace

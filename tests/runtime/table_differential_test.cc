@@ -93,9 +93,9 @@ class RefTable {
     }
     const uint64_t seq = next_seq_++;
     rows_.push_back({t, expires, seq, false});
-    EvictOverflow();
     ++counters_.inserts;
     Notify(TableChange::kInsert, t, seq);
+    EvictOverflow();
     return InsertOutcome::kNew;
   }
 
@@ -529,6 +529,7 @@ TEST(TableDifferentialTest, MatchesLinearScanReference) {
       Spec(kInf, 3, {0}),
       Spec(2, kUnbounded, {2}),
       Spec(kInf, 6, {2, 0}),
+      Spec(3, 0, {0, 1}),  // holds no row: each insert is evicted after it arrives
   };
   const std::vector<std::vector<size_t>> indexes = {{1}, {2, 0}, {0}};
   for (uint32_t seed = 1; seed <= 120; ++seed) {

@@ -96,15 +96,15 @@ TEST(TableTest, ListenersObserveChanges) {
   table.Insert(Row("n", 1, 2), 0);   // kInsert (replace)
   table.Insert(Row("n", 1, 2), 0);   // refresh: no notification
   table.Insert(Row("n", 2, 1), 0);   // kInsert
-  table.Insert(Row("n", 3, 1), 0);   // kEvict (row 1) + kInsert
+  table.Insert(Row("n", 3, 1), 0);   // kInsert, then kEvict (row 1)
   table.DeleteMatching({Value::Str("n"), Value::Int(2)}, {true, true}, 1);  // kDelete
   table.ExpireStale(100);            // kExpire for remaining row
   ASSERT_EQ(changes.size(), 7u);
   EXPECT_EQ(changes[0], TableChange::kInsert);
   EXPECT_EQ(changes[1], TableChange::kInsert);
   EXPECT_EQ(changes[2], TableChange::kInsert);
-  EXPECT_EQ(changes[3], TableChange::kEvict);
-  EXPECT_EQ(changes[4], TableChange::kInsert);
+  EXPECT_EQ(changes[3], TableChange::kInsert);
+  EXPECT_EQ(changes[4], TableChange::kEvict);
   EXPECT_EQ(changes[5], TableChange::kDelete);
   EXPECT_EQ(changes[6], TableChange::kExpire);
 }
