@@ -55,7 +55,9 @@ struct Expr {
     kMakeList,  // [children...]
   };
 
-  // Ordered to keep padding small: every node parses its own copy of each program.
+  // Ordered to keep padding small (Chord alone holds about 500 of these). A fleet
+  // parses each distinct program once and its nodes share that copy
+  // (src/lang/program_cache.h), so this size does not grow with the node count.
   Kind kind = Kind::kConst;
   OpKind op = OpKind::kAdd;
   Value constant;       // kConst
@@ -132,6 +134,8 @@ struct Rule {
   std::string ToString() const;
 };
 
+// A parsed program. Immutable once ParseProgram returns: the nodes of a fleet share
+// one copy through a shared_ptr<const Program>, and their strands point into it.
 struct Program {
   std::vector<TableSpec> materializations;
   std::vector<Rule> rules;

@@ -194,7 +194,8 @@ class Parser {
       rule.is_delete = true;
       Advance();
     }
-    if (rule.id.empty()) {
+    const bool unnamed = rule.id.empty();
+    if (unnamed) {
       rule.id = StrFormat("rule_l%d", rule.line);
     }
     // Head.
@@ -219,6 +220,15 @@ class Parser {
     }
     if (!Expect(TokKind::kDot, "'.'")) {
       return false;
+    }
+    // ruleExec provenance, rule metrics and unloads all key on the id.
+    for (const Rule& prior : out_->rules) {
+      if (prior.id == rule.id) {
+        *error_ = StrFormat("parse error at line %d: duplicate rule id %s%s", rule.line,
+                            rule.id.c_str(),
+                            unnamed ? " (unnamed rules on one line; give them ids)" : "");
+        return false;
+      }
     }
     if (!NumberRuleVars(&rule)) {
       *error_ = StrFormat("parse error at line %d: rule %s has more than %zu variables",

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/lang/program_cache.h"
 #include "src/net/node.h"
 #include "src/net/scheduler.h"
 #include "src/net/wire.h"
@@ -212,6 +213,12 @@ class Network {
   // All nodes in address order.
   std::vector<Node*> AllNodes();
 
+  // The fleet's parsed programs (src/lang/program_cache.h): Node::LoadProgram takes
+  // its Program from here, so the nodes of this network share one parse of each
+  // (source, params). Per network, not per process, so separate fleets in one
+  // process each parse for themselves.
+  ProgramCache& program_cache() { return program_cache_; }
+
  private:
   // Per-(src, dst) channel state: the link's private RNG stream, FIFO enforcement
   // (last scheduled delivery time), and traffic counters. Owned by the *source*
@@ -280,6 +287,7 @@ class Network {
   void WorkerLoop(size_t index);
 
   NetworkConfig config_;
+  ProgramCache program_cache_;
   std::unique_ptr<Scheduler> shared_sched_;  // shards == 1 only
   double now_ = 0;                           // fleet clock (shards > 1)
   std::map<std::string, std::unique_ptr<NodeSlot>> nodes_;

@@ -76,15 +76,17 @@ bool Node::LoadProgramLowPriority(const std::string& source, const ParamMap& par
 
 bool Node::LoadProgramInternal(const std::string& source, const ParamMap& params,
                                bool low_priority, std::string* error) {
-  auto program = std::make_unique<Program>();
-  if (!ParseProgram(source, params, program.get(), error)) {
+  std::shared_ptr<const Program> program =
+      network_->program_cache().Get(source, params, error);
+  if (program == nullptr) {
     return false;
   }
   // Create declared tables first so the planner can classify predicates.
   for (const TableSpec& spec : program->materializations) {
     catalog_.CreateTable(spec);
   }
-  // Reject duplicate rule ids: ruleExec provenance keys on them.
+  // Reject rule ids already loaded from another program: ruleExec provenance keys on
+  // them. The parser rejects an id repeated within one program.
   for (const Rule& rule : program->rules) {
     for (const Rule* prior : loaded_rules_) {
       if (prior->id == rule.id) {

@@ -209,10 +209,12 @@ class Node {
   // Current virtual time.
   double Now() const;
 
-  // Parses and installs an OverLog program: creates its tables, compiles its rules,
-  // registers triggers/listeners/timers. Safe to call repeatedly, including while the
-  // simulation is running. Returns false and sets `error` on any failure (the program
-  // is then not installed; tables it declared before the failure remain).
+  // Installs an OverLog program: takes its parse from the network's ProgramCache (one
+  // per fleet for each distinct source and params), creates its tables, compiles its
+  // rules against this node's catalog, and registers triggers/listeners/timers. Safe
+  // to call repeatedly, including while the simulation is running. Returns false and
+  // sets `error` on any failure (the program is then not installed; tables it
+  // declared before the failure remain).
   bool LoadProgram(const std::string& source, const ParamMap& params, std::string* error);
   bool LoadProgram(const std::string& source, std::string* error);
 
@@ -483,7 +485,9 @@ class Node {
 
   struct LoadedProgram {
     uint64_t id = 0;
-    std::unique_ptr<Program> program;
+    // Shared with every node of the fleet that loaded the same (source, params); kept
+    // after an unload, because the inert strands still point into it.
+    std::shared_ptr<const Program> program;
     std::vector<Strand*> strands;            // owned by strands_
     std::vector<ContinuousAggRule*> aggs;    // owned by agg_rules_
     bool unloaded = false;

@@ -204,6 +204,21 @@ TEST(ParserTest, SyntaxErrorsReported) {
   EXPECT_FALSE(ParseProgram("r1 head@N(count<X) :- b@N(X).", &program, &error));
 }
 
+// ruleExec provenance, rule metrics and unloads key on the rule id, so one program
+// may not use an id twice. Unnamed rules get an id from their line, so two of them on
+// one line collide too.
+TEST(ParserTest, RepeatedRuleIdFails) {
+  Program program;
+  std::string error;
+  EXPECT_FALSE(ParseProgram("r1 c@N(X) :- b@N(X).\nr1 d@N(X) :- b@N(X).", &program,
+                            &error));
+  EXPECT_NE(error.find("line 2: duplicate rule id r1"), std::string::npos) << error;
+  EXPECT_FALSE(ParseProgram("c@N(X) :- b@N(X). d@N(X) :- b@N(X).", &program, &error));
+  EXPECT_NE(error.find("duplicate rule id rule_l1"), std::string::npos) << error;
+  EXPECT_TRUE(ParseProgram("c@N(X) :- b@N(X).\nd@N(X) :- b@N(X).", &program, &error))
+      << error;
+}
+
 TEST(ParserTest, EveryOccurrenceOfAVariableSharesOneSlot) {
   // X is bound by the trigger, then used in a join, a filter, an assignment's
   // expression and the head.

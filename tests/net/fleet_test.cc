@@ -1,14 +1,20 @@
 // p2::Fleet facade tests (src/net/fleet.h): the embedding surface every host
 // program uses. Covers handle operations, posted (timed) operations, the layered
-// FleetConfig seed derivation, and the parallel runtime behind the facade.
+// FleetConfig seed derivation, the parallel runtime behind the facade, and the
+// fleet's shared parses of its programs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/chord/chord.h"
 #include "src/common/strings.h"
+#include "src/mon/ring_checks.h"
 #include "src/net/fleet.h"
 #include "tests/digest_diff.h"
 
@@ -206,6 +212,123 @@ TEST(FleetTest, CrossShardDeliveryWorksThroughTheFacade) {
     cross += s.sent_cross_shard;
   }
   EXPECT_GT(cross, 0u);
+}
+
+// ---- one parse per fleet (src/lang/program_cache.h) ----
+
+// Assigns the parameter tP, whose kind the emitted field keeps.
+constexpr char kTagged[] =
+    "materialize(out, infinity, 16, keys(1, 2)).\n"
+    "t1 out@N(P) :- ev@N(X), P := tP.\n";
+
+ParamMap Tag(Value tp) { return ParamMap{{"tP", std::move(tp)}}; }
+
+TEST(FleetTest, NodesShareOneParseOfEachSourceAndParams) {
+  Fleet fleet;
+  NodeHandle a = fleet.AddNode("a");
+  NodeHandle b = fleet.AddNode("b");
+  NodeHandle c = fleet.AddNode("c");
+  std::string error;
+  ASSERT_TRUE(a.Load(kTagged, Tag(Value::Int(3)), &error)) << error;
+  ASSERT_TRUE(b.Load(kTagged, Tag(Value::Int(3)), &error)) << error;
+  ASSERT_TRUE(c.Load(kTagged, Tag(Value::Int(4)), &error)) << error;
+  ASSERT_EQ(a.raw()->loaded_rules().size(), 1u);
+  EXPECT_EQ(a.raw()->loaded_rules(), b.raw()->loaded_rules());
+  EXPECT_NE(a.raw()->loaded_rules(), c.raw()->loaded_rules())
+      << "another param value is another program";
+}
+
+// Value::operator== calls Int(3) and Double(3.0) equal, but each parses to a constant
+// of its own kind, so sharing one parse would change what the second node emits.
+TEST(FleetTest, ParamsMatchByKindAndExactValue) {
+  Fleet fleet;
+  NodeHandle a = fleet.AddNode("a");
+  NodeHandle b = fleet.AddNode("b");
+  std::string error;
+  ASSERT_TRUE(a.Load(kTagged, Tag(Value::Int(3)), &error)) << error;
+  ASSERT_TRUE(b.Load(kTagged, Tag(Value::Double(3.0)), &error)) << error;
+  EXPECT_NE(a.raw()->loaded_rules(), b.raw()->loaded_rules());
+  for (NodeHandle h : {a, b}) {
+    h.Inject(Tuple::Make("ev", {Value::Str(h.addr()), Value::Int(1)}));
+  }
+  fleet.RunFor(1.0);
+  ASSERT_EQ(a.Query("out").size(), 1u);
+  ASSERT_EQ(b.Query("out").size(), 1u);
+  EXPECT_EQ(a.Query("out")[0]->field(1).kind(), Value::Kind::kInt);
+  EXPECT_EQ(b.Query("out")[0]->field(1).kind(), Value::Kind::kDouble);
+}
+
+TEST(FleetTest, ParseFailuresRepeatOnEveryNode) {
+  Fleet fleet;
+  NodeHandle a = fleet.AddNode("a");
+  NodeHandle b = fleet.AddNode("b");
+  std::string error_a;
+  std::string error_b;
+  EXPECT_FALSE(a.Load("r1 head@N(X :- b@N(X).", &error_a));
+  EXPECT_FALSE(b.Load("r1 head@N(X :- b@N(X).", &error_b));
+  EXPECT_FALSE(error_a.empty());
+  EXPECT_EQ(error_a, error_b);
+  EXPECT_TRUE(a.raw()->loaded_rules().empty());
+  EXPECT_TRUE(b.raw()->loaded_rules().empty());
+}
+
+// The nodes share the parsed rules, but each has its own strands: unloading on one
+// node stops only that node's, and a reload there uses the same parse again.
+TEST(FleetTest, UnloadOnOneNodeLeavesTheOthersFiring) {
+  Fleet fleet;
+  NodeHandle a = fleet.AddNode("a");
+  NodeHandle b = fleet.AddNode("b");
+  std::string error;
+  ASSERT_TRUE(a.Load(kTagged, Tag(Value::Int(3)), &error)) << error;
+  ASSERT_TRUE(b.Load(kTagged, Tag(Value::Int(3)), &error)) << error;
+  const std::vector<const Rule*> shared = b.raw()->loaded_rules();
+  ASSERT_TRUE(a.raw()->UnloadProgram(a.raw()->last_program_id()));
+  EXPECT_TRUE(a.raw()->loaded_rules().empty());
+  EXPECT_EQ(b.raw()->loaded_rules(), shared);
+  for (NodeHandle h : {a, b}) {
+    h.Inject(Tuple::Make("ev", {Value::Str(h.addr()), Value::Int(1)}));
+  }
+  fleet.RunFor(1.0);
+  EXPECT_EQ(a.Count("out"), 0u);
+  EXPECT_EQ(b.Count("out"), 1u);
+
+  ASSERT_TRUE(a.Load(kTagged, Tag(Value::Int(3)), &error)) << error;
+  EXPECT_EQ(a.raw()->loaded_rules(), shared);
+  a.Inject(Tuple::Make("ev", {Value::Str("a"), Value::Int(2)}));
+  fleet.RunFor(1.0);
+  EXPECT_EQ(a.Count("out"), 1u);
+}
+
+// Posted installs run on the window threads: many nodes that load the same programs
+// at one instant hit the cache from several threads at once. The CI TSan job reruns
+// this at P2_SHARDS=4 and 3.
+TEST(FleetTest, ConcurrentInstallsShareOneParse) {
+  FleetConfig cfg;
+  cfg.shards = 4;
+  if (const char* env = std::getenv("P2_SHARDS")) {
+    cfg.shards = std::atoi(env);
+  }
+  Fleet fleet(cfg);
+  constexpr int kNodes = 40;
+  std::vector<NodeHandle> nodes;
+  for (int i = 0; i < kNodes; ++i) {
+    nodes.push_back(fleet.AddNode("n" + std::to_string(i)));
+  }
+  RingCheckConfig checks;
+  std::atomic<int> failures{0};
+  auto on_error = [&failures](const std::string&) { failures.fetch_add(1); };
+  for (NodeHandle& h : nodes) {
+    h.LoadAt(0.5, ChordProgram(), ChordParams(ChordConfig()), on_error);
+    h.LoadAt(0.5, RingCheckProgram(checks),
+             ParamMap{{"tProbe", Value::Double(checks.probe_period)}}, on_error);
+  }
+  fleet.RunFor(1.0);
+  EXPECT_EQ(failures.load(), 0);
+  const std::vector<const Rule*>& first = nodes[0].raw()->loaded_rules();
+  ASSERT_GT(first.size(), 1u);
+  for (NodeHandle& h : nodes) {
+    EXPECT_EQ(h.raw()->loaded_rules(), first) << h.addr();
+  }
 }
 
 }  // namespace
