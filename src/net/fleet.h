@@ -38,7 +38,7 @@ namespace p2 {
 //   kSim — the deterministic simulated Network (latency/jitter/loss, shards,
 //          fault injection); virtual time advances only inside Run calls.
 //   kUdp — real UDP sockets on loopback or a LAN, driven by a non-blocking
-//          poll loop (src/net/udp_driver.h) that pumps the virtual clock
+//          ppoll() loop (src/net/udp_driver.h) that pumps the virtual clock
 //          against the wall clock. RunFor(dt) takes dt *wall* seconds and
 //          advances virtual time by the same amount; shards are forced to 1
 //          and the simulated fault pipeline is bypassed (the physical network

@@ -1,19 +1,17 @@
 #include "src/net/rendezvous.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <set>
 #include <sstream>
-#include <vector>
 
 #include "src/common/strings.h"
+#include "src/net/socket_util.h"
 
 namespace p2 {
 
@@ -22,30 +20,11 @@ namespace {
 constexpr char kMagic[] = "P2RDV1";
 constexpr size_t kMaxDatagram = 65000;  // stay under the UDP payload ceiling
 
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// `allow_zero_port` is for local binds (0 = kernel-assigned ephemeral port); a
-// destination address always needs a real port.
-bool ParseAddr(const std::string& addr, sockaddr_in* out,
-               bool allow_zero_port = false) {
-  size_t colon = addr.rfind(':');
-  if (colon == std::string::npos) {
-    return false;
-  }
-  std::string host = colon == 0 ? "127.0.0.1" : addr.substr(0, colon);
-  int port = std::atoi(addr.c_str() + colon + 1);
-  if (port < (allow_zero_port ? 0 : 1) || port > 65535) {
-    return false;
-  }
-  std::memset(out, 0, sizeof(*out));
-  out->sin_family = AF_INET;
-  out->sin_port = htons(static_cast<uint16_t>(port));
-  return inet_pton(AF_INET, host.c_str(), &out->sin_addr) == 1;
-}
+// Control addresses may omit the host (":port" means 127.0.0.1); a local bind
+// may also ask for port 0 (kernel-assigned ephemeral port).
+constexpr AddrSyntax kControlAddr{.empty_host_is_loopback = true};
+constexpr AddrSyntax kControlBind{.empty_host_is_loopback = true,
+                                  .allow_zero_port = true};
 
 std::string RenderEntries(const std::map<std::string, std::string>& entries) {
   std::string out;
@@ -84,8 +63,7 @@ class ControlSocket {
 
   bool Bind(const std::string& listen, std::string* error) {
     sockaddr_in addr;
-    if (!ParseAddr(listen.empty() ? ":0" : listen, &addr,
-                   /*allow_zero_port=*/true)) {
+    if (!ParseAddr(listen.empty() ? ":0" : listen, &addr, kControlBind)) {
       *error = "rendezvous: bad control address: " + listen;
       return false;
     }
@@ -109,8 +87,8 @@ class ControlSocket {
   // Waits up to `wait` seconds for one datagram; false on timeout.
   bool RecvFrom(double wait, std::string* msg, sockaddr_in* from) {
     pollfd pfd{fd_, POLLIN, 0};
-    int timeout_ms = static_cast<int>(std::max(wait, 0.0) * 1000.0);
-    if (::poll(&pfd, 1, timeout_ms) <= 0) {
+    timespec timeout = WaitTimespec(wait);
+    if (::ppoll(&pfd, 1, &timeout, nullptr) <= 0) {
       return false;
     }
     char buffer[65536];
@@ -209,7 +187,7 @@ bool RunJoiner(const RendezvousConfig& config,
                const std::map<std::string, std::string>& local,
                std::map<std::string, std::string>* full, std::string* error) {
   sockaddr_in seed;
-  if (!ParseAddr(config.seed_addr, &seed)) {
+  if (!ParseAddr(config.seed_addr, &seed, kControlAddr)) {
     *error = "rendezvous: bad seed address: " + config.seed_addr;
     return false;
   }

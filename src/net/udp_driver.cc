@@ -4,43 +4,42 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "src/common/strings.h"
+#include "src/net/socket_util.h"
 #include "src/trace/metrics.h"
 
 namespace p2 {
 
 namespace {
 
-// Parses "127.0.0.1:9000" into a sockaddr. Returns false on malformed input.
-bool ParseAddr(const std::string& addr, sockaddr_in* out) {
-  size_t colon = addr.rfind(':');
-  if (colon == std::string::npos) {
-    return false;
+// Holds the calling thread's timer slack at 1 ns for the guard's lifetime, then
+// restores the value it found. Linux otherwise lets each timed wake run late by
+// up to the thread's slack (50 us by default) so that it can coalesce wakes.
+class TimerSlackGuard {
+ public:
+  TimerSlackGuard() : saved_(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0)) {
+    if (saved_ > 0) {
+      ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
+    }
   }
-  std::string host = addr.substr(0, colon);
-  int port = std::atoi(addr.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    return false;
+  ~TimerSlackGuard() {
+    if (saved_ > 0) {
+      ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(saved_), 0, 0, 0);
+    }
   }
-  std::memset(out, 0, sizeof(*out));
-  out->sin_family = AF_INET;
-  out->sin_port = htons(static_cast<uint16_t>(port));
-  return inet_pton(AF_INET, host.c_str(), &out->sin_addr) == 1;
-}
+  TimerSlackGuard(const TimerSlackGuard&) = delete;
+  TimerSlackGuard& operator=(const TimerSlackGuard&) = delete;
 
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+ private:
+  const int saved_;
+};
 
 }  // namespace
 
@@ -213,15 +212,14 @@ void UdpDriver::DeliverDatagram(Node* node, const char* data, size_t len) {
   node->ReceiveBytes(datagram);
 }
 
-double UdpDriver::WallNow() const { return SteadySeconds(); }
-
 void UdpDriver::RunFor(double wall_seconds) {
   // Re-anchor wall->virtual per call: each RunFor(dt) advances the virtual clock
   // by exactly dt. The old one-shot anchor mapped absolute wall time into
   // virtual time, so wall time spent *between* RunFor calls leaked into the
   // virtual clock and periodic rules over-fired after any pause (the drift grew
   // with every gap; see UdpDriverTest.RepeatedShortSlicesDoNotDrift).
-  const double wall_start = WallNow();
+  const TimerSlackGuard slack;
+  const double wall_start = SteadySeconds();
   const double virtual_base = net_->Now();
   const double virtual_end = virtual_base + wall_seconds;
   std::vector<pollfd> fds(endpoints_.size());
@@ -230,12 +228,18 @@ void UdpDriver::RunFor(double wall_seconds) {
     fds[i].events = POLLIN;
   }
   char buffer[65536];
+  // The earliest pending event when the loop last looked, before its sleep.
+  double next_virtual = net_->scheduler().NextEventTime();
   while (true) {
     // Fire every timer due by the current wall instant (absolute mapping within
     // the call: no intra-call drift either), then put the produced envelopes on
     // the wire.
     double virtual_now =
-        std::min(virtual_base + (WallNow() - wall_start), virtual_end);
+        std::min(virtual_base + (SteadySeconds() - wall_start), virtual_end);
+    // The pump's own clock error: how late the earliest due timer runs.
+    if (next_virtual <= virtual_now) {
+      timer_lag_.Observe(static_cast<uint64_t>((virtual_now - next_virtual) * 1e9));
+    }
     // Refresh the udp_* gauges ahead of any sweep that RunUntil executes, so
     // sysStat rows and metrics exports taken mid-run see current transport
     // counters (≤0.5 virtual seconds stale) rather than the previous RunFor's.
@@ -250,15 +254,14 @@ void UdpDriver::RunFor(double wall_seconds) {
     }
     // Sleep until the next timer or the deadline, whichever comes first, but
     // wake for any datagram. NextEventTime() is +inf on an idle scheduler — the
-    // deadline bounds the sleep; no busy-wait, no 100ms polling quantum.
-    double next_virtual = net_->scheduler().NextEventTime();
+    // deadline bounds the sleep; no busy-wait, no polling quantum. The timeout
+    // is the exact wall deadline, truncated to whole nanoseconds.
+    next_virtual = net_->scheduler().NextEventTime();
     double until_virtual = std::min(next_virtual, virtual_end);
-    double wait = (wall_start + (until_virtual - virtual_base)) - WallNow();
-    int timeout_ms =
-        wait <= 0 ? 0
-                  : static_cast<int>(std::min(std::ceil(wait * 1000.0), 3.6e6));
-    int ready = ::poll(fds.empty() ? nullptr : fds.data(),
-                       static_cast<nfds_t>(fds.size()), timeout_ms);
+    timespec timeout =
+        WaitTimespec(wall_start + (until_virtual - virtual_base) - SteadySeconds());
+    int ready = ::ppoll(fds.empty() ? nullptr : fds.data(),
+                        static_cast<nfds_t>(fds.size()), &timeout, nullptr);
     if (ready <= 0) {
       continue;
     }
@@ -286,6 +289,8 @@ void UdpDriver::RunFor(double wall_seconds) {
 // udp_* gauges on every local node, they land in sysStat and the metrics
 // export at the node's next sweep.
 void UdpDriver::PublishGauges() {
+  const auto lag_p50_us = static_cast<int64_t>(timer_lag_.ValueAtQuantile(0.5) / 1000);
+  const auto lag_p99_us = static_cast<int64_t>(timer_lag_.ValueAtQuantile(0.99) / 1000);
   for (const Endpoint& ep : endpoints_) {
     MetricsRegistry& reg = ep.node->metrics();
     reg.GetGauge("udp_datagrams_sent")->Set(static_cast<int64_t>(datagrams_sent_));
@@ -296,6 +301,8 @@ void UdpDriver::PublishGauges() {
         ->Set(static_cast<int64_t>(envelopes_received_));
     reg.GetGauge("udp_batch_ratio_x1000")
         ->Set(static_cast<int64_t>(batch_ratio() * 1000.0));
+    reg.GetGauge("udp_timer_lag_p50_us")->Set(lag_p50_us);
+    reg.GetGauge("udp_timer_lag_p99_us")->Set(lag_p99_us);
   }
 }
 

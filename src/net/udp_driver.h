@@ -16,10 +16,12 @@
 //    coalesce into a single batched datagram (wire.h batch frames), cutting
 //    syscall and header overhead on gossip-heavy monitors; unbatched datagrams
 //    from legacy senders are still accepted;
-//  * the Network's virtual clock is pumped against the wall clock by a poll-driven
-//    event loop: it sleeps until the next timer or datagram (no busy-wait) and
-//    re-anchors wall->virtual per RunFor call, so repeated short slices never
-//    accumulate drift — each RunFor(dt) advances virtual time by exactly dt.
+//  * the Network's virtual clock is pumped against the wall clock by a ppoll()
+//    event loop: it sleeps until the next timer's exact deadline (nanosecond
+//    timeout, truncated, with the thread's timer slack held at 1 ns) or the next
+//    datagram, never busy-waits, and re-anchors wall->virtual per RunFor call, so
+//    repeated short slices never accumulate drift — each RunFor(dt) advances
+//    virtual time by exactly dt.
 //
 // The reliable transport, overload limits, and sysChannelStat/metrics surfaces all
 // live in Node, above the transport, so the real path inherits retransmit,
@@ -40,6 +42,7 @@
 #include "src/net/fleet.h"
 #include "src/net/network.h"
 #include "src/net/wire.h"
+#include "src/trace/metrics.h"
 
 namespace p2 {
 
@@ -75,8 +78,11 @@ class UdpDriver {
 
   // Pumps timers and sockets for `wall_seconds` of real time. Virtual time
   // advances by exactly `wall_seconds` (anchored at call entry): the loop runs
-  // due timers, flushes outbound batches, then sleeps in poll() until the next
-  // timer, the deadline, or an arriving datagram.
+  // due timers, flushes outbound batches, then sleeps in ppoll() until the next
+  // timer, the deadline, or an arriving datagram. The sleep's timeout is the
+  // wall deadline truncated to whole nanoseconds (never rounded up), and the
+  // calling thread's timer slack is held at 1 ns for the call and restored on
+  // return, so a timer fires tens of microseconds after its instant.
   void RunFor(double wall_seconds);
 
   // ---- counters ----
@@ -99,6 +105,9 @@ class UdpDriver {
                                 : static_cast<double>(envelopes_sent_) /
                                       static_cast<double>(datagrams_sent_);
   }
+  // How late, in ns, the earliest due timer ran at each pump pass that had one:
+  // the pump's own clock error (published as udp_timer_lag_p50_us / _p99_us).
+  const Histogram& timer_lag() const { return timer_lag_; }
 
   // Fault-injection hook: drops this fraction of outgoing envelopes before they
   // reach the socket, from a seeded RNG (deterministic drop pattern per seed).
@@ -127,7 +136,6 @@ class UdpDriver {
   void FlushPeer(PeerOut* out);
   void FlushBatches();
   void DeliverDatagram(Node* node, const char* data, size_t len);
-  double WallNow() const;
 
   Fleet* fleet_;
   Network* net_;
@@ -142,6 +150,7 @@ class UdpDriver {
   uint64_t envelopes_dropped_ = 0;
   uint64_t unroutable_dropped_ = 0;
   uint64_t frame_decode_errors_ = 0;
+  Histogram timer_lag_;
   double next_gauge_publish_ = 0;
   double egress_loss_ = 0;
   Rng egress_rng_{1};

@@ -17,9 +17,10 @@
 // rendezvous flags at all: it is `olgrun --backend=udp` plus the stats report.
 //
 // The stats JSON carries the transport counters (datagrams, envelopes, batching
-// ratio), per-node overlay state (chord id, best successor, predecessor), and
-// the overload counters (shed_reliable must stay 0) — the CI multi-process
-// smoke job asserts ring convergence across the per-process reports.
+// ratio), the pump's timer lateness (p50/p99 in us, bucket upper bounds), per-node
+// overlay state (chord id, best successor, predecessor), and the overload
+// counters (shed_reliable must stay 0) — the CI multi-process smoke job asserts
+// ring convergence across the per-process reports.
 
 #include <cstdio>
 #include <cstring>
@@ -54,6 +55,12 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// The pump's timer lateness at quantile `q`, in us: the upper bound of the
+// histogram bucket holding that rank, like the udp_timer_lag_* gauges.
+unsigned long long TimerLagUs(const p2::UdpDriver& driver, double q) {
+  return driver.timer_lag().ValueAtQuantile(q) / 1000;
+}
+
 bool WriteStats(const std::string& path, p2::ScenarioRunner& runner, int index,
                 int procs) {
   p2::Fleet* fleet = runner.fleet();
@@ -73,6 +80,8 @@ bool WriteStats(const std::string& path, p2::ScenarioRunner& runner, int index,
     out << "  \"frame_decode_errors\": " << driver->frame_decode_errors() << ",\n";
     out << "  \"batch_ratio\": " << p2::StrFormat("%.3f", driver->batch_ratio())
         << ",\n";
+    out << "  \"timer_lag_p50_us\": " << TimerLagUs(*driver, 0.5) << ",\n";
+    out << "  \"timer_lag_p99_us\": " << TimerLagUs(*driver, 0.99) << ",\n";
   }
   uint64_t shed_reliable = 0;
   out << "  \"nodes\": [";
@@ -203,12 +212,12 @@ int main(int argc, char** argv) {
     p2::UdpDriver* d = fleet->udp();
     fprintf(stderr,
             "fleetd[%d/%d]: datagrams sent=%llu recv=%llu envelopes sent=%llu "
-            "recv=%llu batch=%.2fx\n",
+            "recv=%llu batch=%.2fx timer_lag p50=%lluus p99=%lluus\n",
             index, procs, static_cast<unsigned long long>(d->datagrams_sent()),
             static_cast<unsigned long long>(d->datagrams_received()),
             static_cast<unsigned long long>(d->envelopes_sent()),
             static_cast<unsigned long long>(d->envelopes_received()),
-            d->batch_ratio());
+            d->batch_ratio(), TimerLagUs(*d, 0.5), TimerLagUs(*d, 0.99));
   }
   return ok ? 0 : 1;
 }

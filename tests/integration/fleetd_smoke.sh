@@ -5,7 +5,10 @@
 # per-process stats reports that
 #   - the best-successor pointers form one cycle over all 8 nodes,
 #   - no reliable tuple was shed under overload (shed_reliable == 0),
-#   - envelope batching did real work (> 1 tuple per datagram).
+#   - envelope batching did real work (> 1 tuple per datagram),
+# and prints each process's pump timer lateness (timer_lag_p50_us / _p99_us),
+# failing if a report lacks either field. The lateness has no bound here: the
+# CI runner is shared, so its wakes say little about the code.
 #
 # Usage: tests/integration/fleetd_smoke.sh <path-to-fleetd> [workdir]
 set -u
@@ -51,8 +54,15 @@ python3 - "$WORK" $PROCS <<'EOF'
 import json, sys
 work, procs = sys.argv[1], int(sys.argv[2])
 succ, shed, envelopes, datagrams = {}, 0, 0, 0
+ok = True
 for i in range(procs):
     report = json.load(open(f"{work}/stats_{i}.json"))
+    lag = [report.get(f"timer_lag_{q}_us") for q in ("p50", "p99")]
+    if None in lag:
+        print(f"FAIL: process {i} reports no timer_lag_p50_us / timer_lag_p99_us")
+        ok = False
+    else:
+        print(f"process {i}: timer lag p50 {lag[0]} us, p99 {lag[1]} us")
     shed += report["shed_reliable"]
     envelopes += report["envelopes_sent"]
     datagrams += report["datagrams_sent"]
@@ -62,7 +72,6 @@ cur, seen = "n0", []
 while cur in succ and cur not in seen:
     seen.append(cur)
     cur = succ[cur]
-ok = True
 if cur != "n0" or len(seen) != len(succ):
     print(f"FAIL: successor pointers do not form one {len(succ)}-cycle: "
           f"{' -> '.join(seen)} -> {cur}")

@@ -5,11 +5,14 @@
 // with RegisterPeer standing in for the fleetd rendezvous exchange.
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "src/chord/chord.h"
+#include "src/net/socket_util.h"
 #include "src/net/udp_driver.h"
 
 namespace p2 {
@@ -141,6 +144,67 @@ TEST(UdpDriverTest, RepeatedShortSlicesDoNotDrift) {
   EXPECT_NEAR(fleet.Now() - virtual_before, 0.5, 1e-9);
   EXPECT_GE(ticks, 3);
   EXPECT_LE(ticks, 7);
+}
+
+TEST(UdpDriverTest, PostedEventsFireAtTheirDeadline) {
+  // The pump sleeps until each timer's exact wall deadline: posted events at
+  // sub-millisecond offsets fire tens of microseconds late, not up to the next
+  // whole millisecond (a millisecond-granular sleep puts the median near 0.6 ms).
+  Fleet fleet(UdpConfig(11));
+  NodeHandle node = fleet.AddNode("idle");
+  const int kPosts = 60;
+  std::vector<double> offsets(kPosts);
+  std::vector<double> fired(kPosts, -1.0);
+  const double virtual_start = fleet.Now();
+  for (int k = 0; k < kPosts; ++k) {
+    offsets[k] = 0.005 + k * 0.0073;
+    node.Post(virtual_start + offsets[k],
+              [&fired, k](Node&) { fired[k] = SteadySeconds(); });
+  }
+  const double wall_start = SteadySeconds();
+  fleet.RunFor(0.5);
+  std::vector<double> lateness(kPosts);
+  for (int k = 0; k < kPosts; ++k) {
+    ASSERT_GE(fired[k], 0.0) << "post " << k << " never fired";
+    lateness[k] = fired[k] - (wall_start + offsets[k]);
+  }
+  std::nth_element(lateness.begin(), lateness.begin() + kPosts / 2, lateness.end());
+  const double median = lateness[kPosts / 2];
+  RecordProperty("median_lateness_us", static_cast<int>(median * 1e6));
+  EXPECT_LT(median, 0.3e-3);
+  EXPECT_GT(fleet.udp()->timer_lag().count(), 0u);
+}
+
+TEST(UdpDriverTest, RunForRestoresTheCallersTimerSlack) {
+  const int original = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  ASSERT_GT(original, 0);
+  const unsigned long kSlackNs = 123457;  // not the 50 us default
+  ASSERT_EQ(prctl(PR_SET_TIMERSLACK, kSlackNs, 0, 0, 0), 0);
+  {
+    Fleet fleet(UdpConfig(12));
+    NodeHandle node = fleet.AddNode("solo");
+    std::string error;
+    ASSERT_TRUE(node.Load("r1 tick@N(E) :- periodic@N(E, 0.01).", &error)) << error;
+    fleet.RunFor(0.05);
+  }
+  EXPECT_EQ(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0), static_cast<int>(kSlackNs));
+  prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(original), 0, 0, 0);
+}
+
+TEST(UdpDriverTest, UnparseableDestinationsCountAsUnroutable) {
+  // A destination that is neither a registered peer nor a full "host:port" is
+  // dropped and counted; unlike a rendezvous address, ":port" names no host here.
+  Fleet fleet(UdpConfig(13));
+  NodeHandle a = fleet.AddNode("a");
+  std::string error;
+  ASSERT_TRUE(a.Load("r1 hello@Other(NAddr, X) :- go@NAddr(Other, X).", &error))
+      << error;
+  for (const char* dst : {":9000", "127.0.0.1:0", "nowhere"}) {
+    a.Inject(Tuple::Make("go", {Value::Str(a.addr()), Value::Str(dst), Value::Int(1)}));
+  }
+  fleet.RunFor(0.05);
+  EXPECT_EQ(fleet.udp()->unroutable_dropped(), 3u);
+  EXPECT_EQ(fleet.udp()->datagrams_sent(), 0u);
 }
 
 TEST(UdpDriverTest, ReliableTuplesSurviveEgressLoss) {

@@ -141,9 +141,17 @@ TEST(UdpBackendTest, DriverCountersSurfaceAsNodeMetrics) {
       << error;
   a.Inject(Tuple::Make("peer", {Value::Str("a"), Value::Str("b")}));
   fleet.RunFor(0.5);
+  UdpDriver* driver = fleet.udp();
   Gauge* sent = a.raw()->metrics().GetGauge("udp_datagrams_sent");
   EXPECT_GT(sent->value, 0);
-  EXPECT_EQ(sent->value, static_cast<int64_t>(fleet.udp()->datagrams_sent()));
+  EXPECT_EQ(sent->value, static_cast<int64_t>(driver->datagrams_sent()));
+  // The periodic rule's timers give the pump lateness samples; its quantiles
+  // surface in microseconds.
+  ASSERT_GT(driver->timer_lag().count(), 0u);
+  EXPECT_EQ(a.raw()->metrics().GetGauge("udp_timer_lag_p50_us")->value,
+            static_cast<int64_t>(driver->timer_lag().ValueAtQuantile(0.5) / 1000));
+  EXPECT_EQ(a.raw()->metrics().GetGauge("udp_timer_lag_p99_us")->value,
+            static_cast<int64_t>(driver->timer_lag().ValueAtQuantile(0.99) / 1000));
 }
 
 }  // namespace
