@@ -57,6 +57,41 @@ void BM_TableInsertReplace(benchmark::State& state) {
 }
 BENCHMARK(BM_TableInsertReplace)->Arg(16)->Arg(256)->Arg(4096);
 
+// The traced insert path: ruleExec is keyed on its whole 7-field tuple (two strings,
+// two ids, two doubles, a bool). With a 30 s lifetime and range(0) live rows, time
+// advances by lifetime / range(0) per insert, so each insert expires one row written
+// a lifetime earlier. Steps are exact in binary, so the row count holds steady.
+TupleRef RuleExecRow(uint64_t i, double now) {
+  static const char* const kRules[] = {"cs1", "cs2", "sb1", "sb2", "f5", "l1", "l2"};
+  return Tuple::Make("ruleExec", {Value::Str("n1"), Value::Str(kRules[i % 7]),
+                                  Value::Id(0x9e3779b97f4a7c15ULL * i), Value::Id(i),
+                                  Value::Double(now - 0.01), Value::Double(now),
+                                  Value::Bool(i % 3 == 0)});
+}
+
+void BM_RuleExecInsertExpire(benchmark::State& state) {
+  TableSpec spec;
+  spec.name = "ruleExec";
+  spec.lifetime_secs = 30;
+  Table table(spec);
+  const double step = spec.lifetime_secs / static_cast<double>(state.range(0));
+  uint64_t i = 0;
+  double now = 0;
+  auto insert_next = [&] {
+    now = static_cast<double>(i) * step;
+    table.Insert(RuleExecRow(i++, now), now);
+  };
+  while (i < static_cast<uint64_t>(state.range(0))) {
+    insert_next();
+  }
+  for (auto _ : state) {
+    insert_next();
+  }
+  state.counters["live_rows"] = static_cast<double>(table.Size(now));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RuleExecInsertExpire)->Arg(1024)->Arg(16384);
+
 void BM_TableScan(benchmark::State& state) {
   TableSpec spec;
   spec.name = "succ";

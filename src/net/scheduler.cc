@@ -39,6 +39,12 @@ void Scheduler::RunUntil(double t) {
     Step();
   }
   now_ = std::max(now_, t);
+  // Give back a past burst's capacity only when it is far above what is pending, so
+  // a heap that refills soon keeps its buffer. With K > 1 this runs on the thread
+  // that ran the node's window, off the serial barrier.
+  if (heap_.capacity() > std::max<size_t>(kTrimFloor, 4 * heap_.size())) {
+    heap_.shrink_to_fit();
+  }
 }
 
 }  // namespace p2

@@ -37,7 +37,9 @@ class Scheduler {
   // Runs the next event, advancing the clock. Returns false if none are pending.
   bool Step();
 
-  // Runs all events scheduled at or before `t`; the clock ends at exactly `t`.
+  // Runs all events scheduled at or before `t`; the clock ends at exactly `t`. Then
+  // releases the heap's spare capacity if it exceeds both kTrimFloor events and four
+  // times the pending count.
   void RunUntil(double t);
 
   // Number of pending events.
@@ -69,6 +71,8 @@ class Scheduler {
     }
     return a.seq > b.seq;
   }
+
+  static constexpr size_t kTrimFloor = 1024;
 
   double now_ = 0;
   uint64_t next_seq_ = 0;

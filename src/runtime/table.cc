@@ -11,32 +11,6 @@ Table::Table(TableSpec spec) : spec_(std::move(spec)) {
   }
 }
 
-bool Table::Key::operator==(const Key& other) const {
-  if (hash != other.hash || vals.size() != other.vals.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < vals.size(); ++i) {
-    if (!(vals[i] == other.vals[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Table::Key Table::MakeKey(const Tuple& t) const {
-  Key key;
-  if (spec_.key_fields.empty()) {
-    key.vals = t.fields();
-  } else {
-    key.vals.reserve(spec_.key_fields.size());
-    for (size_t pos : spec_.key_fields) {
-      key.vals.push_back(pos < t.arity() ? t.field(pos) : Value::Null());
-    }
-  }
-  key.hash = HashValues(key.vals);
-  return key;
-}
-
 size_t Table::HashValues(const ValueList& vals) {
   size_t h = 1469598103934665603ULL;
   for (const Value& v : vals) {
@@ -45,12 +19,34 @@ size_t Table::HashValues(const ValueList& vals) {
   return h;
 }
 
-size_t Table::HashAt(const Tuple& t, const std::vector<size_t>& positions) const {
+size_t Table::HashAt(const ValueList& vals, const std::vector<size_t>& positions) {
   size_t h = 1469598103934665603ULL;
   for (size_t pos : positions) {
-    h = h * 1099511628211ULL ^ (pos < t.arity() ? t.field(pos) : Value::Null()).Hash();
+    h = h * 1099511628211ULL ^ ValueOrNull(vals, pos).Hash();
   }
   return h;
+}
+
+const Value& Table::ValueOrNull(const ValueList& vals, size_t pos) {
+  static const Value kNull;
+  return pos < vals.size() ? vals[pos] : kNull;
+}
+
+Table::RowIt Table::FindKey(const KeyView& key, size_t hash) {
+  auto [first, last] = index_.equal_range(hash);
+  for (auto entry = first; entry != last; ++entry) {
+    // Equal hashes are only candidates (Bool(true) hashes like Int(1)): compare the
+    // fields, arity first.
+    const KeyView row = KeyOf(*entry->second->tuple);
+    bool equal = row.size() == key.size();
+    for (size_t i = 0; equal && i < key.size(); ++i) {
+      equal = row[i] == key[i];
+    }
+    if (equal) {
+      return entry->second;
+    }
+  }
+  return rows_.end();
 }
 
 size_t Table::EnsureIndex(std::vector<size_t> positions) {
@@ -62,7 +58,7 @@ size_t Table::EnsureIndex(std::vector<size_t> positions) {
   auto index = std::make_unique<SecondaryIndex>();
   index->positions = std::move(positions);
   for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-    index->map[HashAt(*it->tuple, index->positions)].emplace(it->seq, it);
+    index->map[HashAt(it->tuple->fields(), index->positions)].emplace(it->seq, it);
     ++index->entries;
   }
   secondary_.push_back(std::move(index));
@@ -71,7 +67,7 @@ size_t Table::EnsureIndex(std::vector<size_t> positions) {
 
 void Table::SecondaryAdd(RowIt it) {
   for (auto& index : secondary_) {
-    index->map[HashAt(*it->tuple, index->positions)].emplace(it->seq, it);
+    index->map[HashAt(it->tuple->fields(), index->positions)].emplace(it->seq, it);
     ++index->entries;
   }
   if (IsShort(*it->tuple)) {
@@ -84,7 +80,7 @@ void Table::SecondaryRemove(RowIt it) {
     short_rows_.erase(it->seq);
   }
   for (auto& index : secondary_) {
-    auto bucket = index->map.find(HashAt(*it->tuple, index->positions));
+    auto bucket = index->map.find(HashAt(it->tuple->fields(), index->positions));
     if (bucket == index->map.end()) {
       continue;
     }
@@ -147,7 +143,14 @@ void Table::HeapFix(size_t pos) {
 void Table::Remove(RowIt it, TableChange change) {
   TupleRef tuple = it->tuple;
   const uint64_t seq = it->seq;
-  index_.erase(MakeKey(*tuple));
+  // Erase this row's own entry: other rows may share its key hash.
+  auto [first, last] = index_.equal_range(KeyOf(*tuple).Hash());
+  for (auto entry = first; entry != last; ++entry) {
+    if (entry->second == it) {
+      index_.erase(entry);
+      break;
+    }
+  }
   SecondaryRemove(it);
   if (it->heap_pos != kNoSlot) {
     HeapErase(it->heap_pos);
@@ -183,24 +186,27 @@ void Table::Notify(const TableEvent& event) {
 
 InsertOutcome Table::Insert(const TupleRef& t, double now) {
   ExpireStale(now);
-  Key key = MakeKey(*t);
+  const KeyView key = KeyOf(*t);
+  const size_t hash = key.Hash();
   double expires = std::isinf(spec_.lifetime_secs)
                        ? std::numeric_limits<double>::infinity()
                        : now + spec_.lifetime_secs;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    Row& row = *it->second;
+  RowIt hit = FindKey(key, hash);
+  if (hit != rows_.end()) {
+    Row& row = *hit;
     if (*row.tuple == *t) {
       row.expires_at = expires;  // identical: refresh lifetime only, no delta
       HeapFix(row.heap_pos);
       ++counters_.refreshes;
       return InsertOutcome::kRefreshed;
     }
-    SecondaryRemove(it->second);  // indexed field values may change with the payload
+    // The key (and so its hash and index entry) stays; indexed field values may
+    // change with the payload.
+    SecondaryRemove(hit);
     TupleRef displaced = std::move(row.tuple);
     row.tuple = t;
     row.expires_at = expires;
-    SecondaryAdd(it->second);
+    SecondaryAdd(hit);
     HeapFix(row.heap_pos);
     ++counters_.inserts;
     Notify({TableChange::kInsert, t, row.seq, &displaced});
@@ -209,7 +215,7 @@ InsertOutcome Table::Insert(const TupleRef& t, double now) {
   const uint64_t seq = next_seq_++;
   rows_.push_back(Row{t, expires, seq, kNoSlot});
   RowIt row = std::prev(rows_.end());
-  index_.emplace(std::move(key), row);
+  index_.emplace(hash, row);
   SecondaryAdd(row);
   HeapPush(row);
   ++counters_.inserts;
@@ -268,16 +274,10 @@ size_t Table::DeleteMatching(const ValueList& pattern,
   // purge was deferred by an in-flight walk.
   std::vector<RowIt> victims;
   if (BindsExactlyKey(pattern, bound)) {
-    Key key;
-    key.vals.reserve(spec_.key_fields.size());
-    for (size_t pos : spec_.key_fields) {
-      key.vals.push_back(pattern[pos]);
-    }
-    key.hash = HashValues(key.vals);
-    auto hit = index_.find(key);
-    if (hit != index_.end() && hit->second->expires_at > now &&
-        !IsShort(*hit->second->tuple)) {
-      victims.push_back(hit->second);
+    const KeyView key{pattern, &spec_.key_fields};
+    RowIt hit = FindKey(key, key.Hash());
+    if (hit != rows_.end() && hit->expires_at > now && !IsShort(*hit->tuple)) {
+      victims.push_back(hit);
     }
     for (const auto& [seq, it] : short_rows_) {
       if (it->expires_at > now && matches(*it->tuple)) {
@@ -334,14 +334,12 @@ size_t Table::ExpireStale(double now) {
 
 TupleRef Table::FindByKey(const ValueList& key_values, double now) {
   ExpireStale(now);
-  Key key;
-  key.vals = key_values;
-  key.hash = HashValues(key.vals);
-  auto it = index_.find(key);
-  if (it == index_.end() || it->second->expires_at <= now) {
+  const KeyView key{key_values, nullptr};
+  RowIt hit = FindKey(key, key.Hash());
+  if (hit == rows_.end() || hit->expires_at <= now) {
     return nullptr;  // stale rows survive the (possibly deferred) purge; never match
   }
-  return it->second->tuple;
+  return hit->tuple;
 }
 
 std::vector<TupleRef> Table::Scan(double now) {

@@ -13,11 +13,17 @@
 // (expires_at, seq), so expiry pops only the rows whose lifetime has passed and
 // eviction takes the heap top; a delete that binds exactly the primary key probes it.
 //
+// The primary key is stored once, in the row's own tuple: the key index maps the
+// key's hash to the rows with that hash, and each candidate's key fields are read in
+// place and confirmed with Value::operator== (equal hashes alone never match). Insert,
+// FindByKey, keyed deletes and Remove copy no key.
+//
 // Secondary indexes (EnsureIndex / ForEachMatch): hash indexes over arbitrary field
 // subsets, requested by the planner for join probes that bind only part of (or none
 // of) the primary key. They are maintained inline across every mutation — insert,
-// replace, refresh, delete, expire, evict — and probed allocation-free. The index
-// consistency contract is documented in docs/INTERNALS.md.
+// replace, refresh, delete, expire, evict. A probe copies the bucket it hits into a
+// vector before calling back (see ForEachMatch). The index consistency contract is
+// documented in docs/INTERNALS.md.
 
 #ifndef SRC_RUNTIME_TABLE_H_
 #define SRC_RUNTIME_TABLE_H_
@@ -240,16 +246,8 @@ class Table {
   using RowIt = std::list<Row>::iterator;
   static constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
 
-  struct Key {
-    ValueList vals;
-    size_t hash;
-    bool operator==(const Key& other) const;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const { return k.hash; }
-  };
   struct IdentityHash {
-    size_t operator()(size_t h) const { return h; }
+    size_t operator()(size_t h) const noexcept { return h; }
   };
 
   // One secondary index: hash of the indexed fields -> (row seq -> row). The inner
@@ -276,11 +274,33 @@ class Table {
   };
   friend struct IterGuard;
 
-  Key MakeKey(const Tuple& t) const;
   // FNV-1a over Value::Hash — shared by the primary key and every secondary index,
-  // so cross-kind numeric equality (Int(7) == Id(7)) probes consistently.
+  // so cross-kind numeric equality (Int(7) == Id(7)) probes consistently. HashAt
+  // folds the values at `positions` exactly as HashValues folds a list of them.
   static size_t HashValues(const ValueList& vals);
-  size_t HashAt(const Tuple& t, const std::vector<size_t>& positions) const;
+  static size_t HashAt(const ValueList& vals, const std::vector<size_t>& positions);
+  // vals[pos], or Null past the end: keys and indexes read a short row's missing
+  // fields as Null.
+  static const Value& ValueOrNull(const ValueList& vals, size_t pos);
+
+  // A primary key read in place: the values of `vals` at `positions`, or all of
+  // `vals` when `positions` is null (a whole-tuple key).
+  struct KeyView {
+    const ValueList& vals;
+    const std::vector<size_t>* positions;
+    size_t size() const { return positions != nullptr ? positions->size() : vals.size(); }
+    const Value& operator[](size_t i) const {
+      return positions != nullptr ? ValueOrNull(vals, (*positions)[i]) : vals[i];
+    }
+    size_t Hash() const {
+      return positions != nullptr ? HashAt(vals, *positions) : HashValues(vals);
+    }
+  };
+  KeyView KeyOf(const Tuple& t) const {
+    return {t.fields(), spec_.key_fields.empty() ? nullptr : &spec_.key_fields};
+  }
+  // The indexed row whose key equals `key` (whose Hash() is `hash`), or rows_.end().
+  RowIt FindKey(const KeyView& key, size_t hash);
   // File a row under (or remove it from) every lookup derived from its contents
   // other than the primary key: the secondary indexes and short_rows_.
   void SecondaryAdd(RowIt it);
@@ -313,7 +333,9 @@ class Table {
   TableSpec spec_;
   TableCounters counters_;
   std::list<Row> rows_;  // insertion order
-  std::unordered_map<Key, RowIt, KeyHash> index_;
+  // Primary key: key hash -> row, one entry per indexed row. Rows whose keys differ
+  // may share a hash; FindKey confirms each candidate's fields.
+  std::unordered_multimap<size_t, RowIt, IdentityHash> index_;
   std::vector<std::unique_ptr<SecondaryIndex>> secondary_;
   std::vector<Listener> listeners_;
   // Every row of rows_ that is not a corpse, earliest expiry on top; ties break on

@@ -2,8 +2,8 @@
 // implements every operation the way a plain row walk does it: expiry scans all rows
 // in insertion order, eviction scans for the earliest expiry (first in insertion order
 // among ties), keyed deletes compare every row. Randomized op sequences — inserts that
-// collide on keys, many equal expiries, short rows, deletes by key and by arbitrary
-// pattern, and inserts and deletes issued from inside ForEachLive/ForEachMatch
+// collide on keys, unequal keys that share a hash, many equal expiries, short rows,
+// deletes by key and by arbitrary pattern, and inserts and deletes issued from inside ForEachLive/ForEachMatch
 // callbacks so that expiry, eviction and erasure are deferred — run against both, and
 // after every op the listener stream, Scan, Size, counters and index stats must agree.
 
@@ -34,6 +34,20 @@ bool SameValues(const ValueList& a, const ValueList& b) {
   }
   for (size_t i = 0; i < a.size(); ++i) {
     if (!(a[i] == b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Whether each value of `a` hashes like its counterpart in `b`: a secondary index
+// matches on the hash of the indexed fields and leaves re-verifying to its callers.
+bool SameHashes(const ValueList& a, const ValueList& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].Hash() != b[i].Hash()) {
       return false;
     }
   }
@@ -203,7 +217,7 @@ class RefTable {
     std::vector<size_t> matches;  // snapshot of the bucket when the walk starts
     for (size_t i = 0; i < rows_.size(); ++i) {
       if (!rows_[i].dead &&
-          SameValues(ValuesAt(*rows_[i].tuple, indexes_[index_id].positions),
+          SameHashes(ValuesAt(*rows_[i].tuple, indexes_[index_id].positions),
                      key_values)) {
         matches.push_back(i);
       }
@@ -321,15 +335,24 @@ class OpGenerator {
     now_ += r < 9 ? 0.5 * static_cast<double>(r - 4) : 4.0;
   }
 
-  // Small pools so keys collide (new, replaced and refreshed rows); Int and Id
-  // values compare equal across kinds, as keys and indexes must honour.
+  // Small pools so keys collide (new, replaced and refreshed rows). Int and Id
+  // values compare equal across kinds, as keys and indexes must honour; Bool(false)
+  // and Bool(true) hash like 0 and 1 but equal neither, so unequal keys share a hash.
   Value PoolValue(size_t pos) {
     switch (pos) {
       case 0:
         return Value::Str(Pick(2) == 0 ? "a" : "b");
       case 1: {
         int64_t v = static_cast<int64_t>(Pick(4));
-        return Pick(4) == 0 ? Value::Id(static_cast<uint64_t>(v)) : Value::Int(v);
+        switch (Pick(8)) {
+          case 0:
+          case 1:
+            return Value::Id(static_cast<uint64_t>(v));
+          case 2:
+            return Value::Bool(v % 2 == 1);
+          default:
+            return Value::Int(v);
+        }
       }
       default:
         return Value::Int(static_cast<int64_t>(Pick(3)));

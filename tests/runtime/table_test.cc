@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/runtime/arena.h"
+
 namespace p2 {
 namespace {
 
@@ -146,6 +148,153 @@ TEST(TableTest, FindByKeyMatchesCrossKindNumerics) {
   Table table(Spec("t", 100, 10, {0, 1}));
   table.Insert(Tuple::Make("t", {Value::Str("n"), Value::Id(7), Value::Int(1)}), 0);
   EXPECT_NE(table.FindByKey({Value::Str("n"), Value::Int(7)}, 1), nullptr);
+}
+
+TEST(TableTest, CrossKindEqualKeysAreOneKey) {
+  // Int(7), Id(7) and Double(7.0) compare equal, so they are one key: each replaces
+  // the last on insert, and a keyed delete with any of them matches.
+  Table table(Spec("t", 100, 10, {0, 1}));
+  auto row = [](const Value& k, int64_t v) {
+    return Tuple::Make("t", {Value::Str("n"), k, Value::Int(v)});
+  };
+  EXPECT_EQ(table.Insert(row(Value::Int(7), 1), 0), InsertOutcome::kNew);
+  EXPECT_EQ(table.Insert(row(Value::Id(7), 2), 0), InsertOutcome::kReplaced);
+  EXPECT_EQ(table.Insert(row(Value::Double(7.0), 3), 0), InsertOutcome::kReplaced);
+  EXPECT_EQ(table.Insert(row(Value::Int(7), 3), 0), InsertOutcome::kRefreshed);
+  EXPECT_EQ(table.Size(0), 1u);
+  EXPECT_EQ(table.DeleteMatching({Value::Str("n"), Value::Id(7)}, {true, true}, 1), 1u);
+  EXPECT_EQ(table.Size(1), 0u);
+  table.Insert(row(Value::Id(7), 4), 1);
+  EXPECT_EQ(table.DeleteMatching({Value::Str("n"), Value::Double(7.0)}, {true, true}, 1),
+            1u);
+  EXPECT_EQ(table.Size(1), 0u);
+}
+
+TEST(TableTest, EqualHashKeysStayDistinct) {
+  // Value::Hash folds Bool into the numeric image, so these keys hash alike but
+  // differ: every key operation must confirm its candidates field by field.
+  const Value yes = Value::Bool(true);
+  const Value one = Value::Int(1);
+  ASSERT_EQ(yes.Hash(), one.Hash());
+  ASSERT_FALSE(yes == one);
+  auto r = [](const char* loc, const Value& k) {
+    return Tuple::Make("r", {Value::Str(loc), k});
+  };
+  // Removing a row unlinks its own index entry, never its hash twin's. Delete each
+  // of the pair mid-walk (the corpse stays allocated until the walk ends): the other
+  // must still be found, and the deleted key must be free for a new row.
+  for (const bool delete_first : {true, false}) {
+    SCOPED_TRACE(delete_first);
+    const Value& gone = delete_first ? yes : one;
+    const Value& kept = delete_first ? one : yes;
+    Table pair(Spec("r", 100, 10, {1}));
+    pair.Insert(r("a", yes), 0);
+    pair.Insert(r("a", one), 0);
+    pair.ForEachLive(0, [&](const TupleRef&) {
+      EXPECT_EQ(pair.DeleteMatching({Value::Null(), gone}, {false, true}, 0), 1u);
+      EXPECT_NE(pair.FindByKey({kept}, 0), nullptr);
+      EXPECT_EQ(pair.FindByKey({gone}, 0), nullptr);
+      return false;
+    });
+    EXPECT_NE(pair.FindByKey({kept}, 0), nullptr);
+    EXPECT_EQ(pair.Insert(r("a", kept), 0), InsertOutcome::kRefreshed);
+    EXPECT_EQ(pair.Insert(r("a", gone), 0), InsertOutcome::kNew);
+    EXPECT_EQ(pair.Size(0), 2u);
+  }
+
+  Table table(Spec("r", 100, 10, {1}));
+  EXPECT_EQ(table.Insert(r("a", yes), 0), InsertOutcome::kNew);
+  EXPECT_EQ(table.Insert(r("a", one), 0), InsertOutcome::kNew);
+  EXPECT_EQ(table.Size(0), 2u);
+  EXPECT_EQ(table.FindByKey({yes}, 0)->field(1), yes);
+  EXPECT_EQ(table.FindByKey({one}, 0)->field(1), one);
+  // A replacing insert touches only its own key's row.
+  EXPECT_EQ(table.Insert(r("b", one), 1), InsertOutcome::kReplaced);
+  EXPECT_EQ(table.FindByKey({yes}, 1)->field(0), Value::Str("a"));
+  EXPECT_EQ(table.FindByKey({one}, 1)->field(0), Value::Str("b"));
+  EXPECT_EQ(table.Insert(r("a", yes), 1), InsertOutcome::kRefreshed);
+  // A keyed delete removes only its own key's row.
+  EXPECT_EQ(table.DeleteMatching({Value::Null(), yes}, {false, true}, 2), 1u);
+  EXPECT_EQ(table.FindByKey({yes}, 2), nullptr);
+  ASSERT_NE(table.FindByKey({one}, 2), nullptr);
+  EXPECT_EQ(table.Insert(r("b", one), 2), InsertOutcome::kRefreshed);
+  const Value no = Value::Bool(false);  // hashes like Int(0); neither is a key here
+  EXPECT_EQ(table.DeleteMatching({Value::Null(), no}, {false, true}, 2), 0u);
+  EXPECT_EQ(table.Size(2), 1u);
+}
+
+TEST(TableTest, ShortRowKeyFieldsReadAsNull) {
+  // Keyed on fields 0 and 2: a row of arity 2 has key (field 0, Null).
+  Table table(Spec("t", 100, 10, {0, 2}));
+  auto t = [](std::initializer_list<Value> fields) { return Tuple::Make("t", fields); };
+  const Value n = Value::Str("n");
+  EXPECT_EQ(table.Insert(t({n, Value::Int(5)}), 0), InsertOutcome::kNew);
+  ASSERT_NE(table.FindByKey({n, Value::Null()}, 0), nullptr);
+  EXPECT_EQ(table.FindByKey({n, Value::Null()}, 0)->field(1), Value::Int(5));
+  EXPECT_EQ(table.FindByKey({n, Value::Int(0)}, 0), nullptr);
+  // Another short row with the same present key fields replaces it.
+  EXPECT_EQ(table.Insert(t({n, Value::Int(6)}), 0), InsertOutcome::kReplaced);
+  EXPECT_EQ(table.Insert(t({n, Value::Int(6)}), 0), InsertOutcome::kRefreshed);
+  // A full row whose field 2 is 0 is another key; one whose field 2 is Null is not.
+  EXPECT_EQ(table.Insert(t({n, Value::Int(6), Value::Int(0)}), 0), InsertOutcome::kNew);
+  EXPECT_EQ(table.Insert(t({n, Value::Int(7), Value::Null()}), 0),
+            InsertOutcome::kReplaced);
+  EXPECT_EQ(table.Size(0), 2u);
+  EXPECT_EQ(table.FindByKey({n, Value::Null()}, 0)->field(1), Value::Int(7));
+  EXPECT_EQ(table.Insert(t({n, Value::Int(8)}), 0), InsertOutcome::kReplaced);
+  EXPECT_EQ(table.FindByKey({n, Value::Null()}, 0)->arity(), 2u);
+  // Keyed deletes: the short row on the fields it has, the full row by its key.
+  const std::vector<bool> key_bound = {true, false, true};
+  EXPECT_EQ(table.DeleteMatching({n, Value::Null(), Value::Int(0)}, key_bound, 1), 2u);
+  EXPECT_EQ(table.Size(1), 0u);
+  table.Insert(t({n, Value::Int(9), Value::Null()}), 1);
+  table.Insert(t({n, Value::Int(9), Value::Int(1)}), 1);
+  EXPECT_EQ(table.DeleteMatching({n, Value::Null(), Value::Null()}, key_bound, 1), 1u);
+  ASSERT_EQ(table.Size(1), 1u);
+  EXPECT_EQ(table.FindByKey({n, Value::Int(1)}, 1)->field(1), Value::Int(9));
+}
+
+// A traced execution record's shape: two strings, two ids, two doubles, a bool.
+TupleRef ExecRow(int i) {
+  return Tuple::Make("ruleExec",
+                     {Value::Str("n1"), Value::Str("r" + std::to_string(i % 7)),
+                      Value::Id(static_cast<uint64_t>(i)), Value::Id(1000u + i),
+                      Value::Double(i * 0.5), Value::Double(i * 0.5 + 0.25),
+                      Value::Bool(i % 2 == 0)});
+}
+
+TEST(TableTest, KeyOperationsTakeNoArenaBlocks) {
+  // The key index reads keys in place: inserting, refreshing, probing, deleting and
+  // expiring rows copies no key through the tuple arena.
+  // A whole-tuple key (like ruleExec's) and a two-field key.
+  const std::vector<std::vector<size_t>> key_sets = {{}, {0, 2}};
+  for (const std::vector<size_t>& keys : key_sets) {
+    SCOPED_TRACE(keys.size());
+    std::vector<TupleRef> rows;
+    for (int i = 0; i < 100; ++i) {
+      rows.push_back(ExecRow(i));
+    }
+    ValueList key = rows[7]->fields();
+    ValueList pattern = rows[9]->fields();
+    std::vector<bool> bound(pattern.size(), true);
+    if (!keys.empty()) {
+      key = {rows[7]->field(0), rows[7]->field(2)};
+      bound.assign(pattern.size(), false);
+      bound[0] = bound[2] = true;  // exactly the key: the probe path
+    }
+    Table table(Spec("ruleExec", 30, 1000, keys));
+    const uint64_t blocks = TupleArena::FreshBlocks() + TupleArena::RecycledBlocks();
+    for (const TupleRef& row : rows) {
+      EXPECT_EQ(table.Insert(row, 0), InsertOutcome::kNew);
+    }
+    for (const TupleRef& row : rows) {
+      EXPECT_EQ(table.Insert(row, 1), InsertOutcome::kRefreshed);
+    }
+    EXPECT_EQ(table.FindByKey(key, 2), rows[7]);
+    EXPECT_EQ(table.DeleteMatching(pattern, bound, 2), 1u);
+    EXPECT_EQ(table.ExpireStale(31), 99u);
+    EXPECT_EQ(TupleArena::FreshBlocks() + TupleArena::RecycledBlocks(), blocks);
+  }
 }
 
 TEST(TableTest, ExpiryFastPathSkipsScans) {
